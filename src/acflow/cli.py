@@ -79,10 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--tau-ref", type=float, required=True)
 
     p_ver = sub.add_parser("verify", help="run the verification suites")
-    _add_common(p_ver)
     p_ver.add_argument("--profile", nargs="*",
                        choices=["lemmas", "invariants", "oracles"],
                        default=["lemmas", "invariants", "oracles"])
+    p_ver.add_argument("--seed", type=int, default=20240817)
+    p_ver.add_argument("--kappa", type=float, default=None,
+                       help="invariants-profile kappa; defaults to the Lipschitz bound")
     return parser
 
 
@@ -136,8 +138,7 @@ def _cmd_converge(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .verify import verify_suite
-    report = verify_suite(tuple(args.profile), seed=args.seed or 20240817,
-                          kappa=args.kappa)
+    report = verify_suite(tuple(args.profile), seed=args.seed, kappa=args.kappa)
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 

@@ -31,7 +31,8 @@ class Grid:
         self.boundary = boundary
         # L and M are stored; h is derived so h*M == L exactly.
         self.h = self.length / self.m
-        self._mult_eigs = self._build_multiplier_eigenvalues()
+        # Laplacian eigenvalues in the layout used by ``apply_multiplier``.
+        self.multiplier_eigenvalues = self._build_multiplier_eigenvalues()
 
     # -- geometry ---------------------------------------------------------
 
@@ -97,48 +98,18 @@ class Grid:
         gx, gy = self.gradient(v)
         return self.inner(gx, gx) + self.inner(gy, gy)
 
-    # -- eigenbasis -----------------------------------------------------------
-
-    def eigenvalue(self, k: int, l: int) -> float:
-        """Eigenvalue of the discrete Laplacian for mode (k, l)."""
-        if not (0 <= k < self.m and 0 <= l < self.m):
-            raise ValueError(f"mode index ({k}, {l}) out of range for M={self.m}")
-        return self._eig_1d(np.array([float(k)]))[0] + self._eig_1d(np.array([float(l)]))[0]
-
-    def _eig_1d(self, k: np.ndarray) -> np.ndarray:
-        if self.boundary == PERIODIC:
-            return -(4.0 / self.h**2) * np.sin(np.pi * k / self.m) ** 2
-        return -(4.0 / self.h**2) * np.sin(np.pi * k / (2 * self.m)) ** 2
-
-    def eigenvalues(self) -> np.ndarray:
-        """(M, M) eigenvalue array laid out to match ``to_spectral``."""
-        lam = self._eig_1d(np.arange(self.m, dtype=float))
-        return lam[:, None] + lam[None, :]
-
-    def to_spectral(self, v: np.ndarray) -> np.ndarray:
-        if self.boundary == PERIODIC:
-            return np.fft.fft2(v)
-        return scipy.fft.dctn(v, type=2, norm="ortho")
-
-    def from_spectral(self, c: np.ndarray) -> np.ndarray:
-        if self.boundary == PERIODIC:
-            return np.fft.ifft2(c).real
-        return scipy.fft.idctn(c, type=2, norm="ortho")
-
-    # -- fast diagonal application (hot path) ---------------------------------
+    # -- eigenbasis and fast diagonal application (hot path) -----------------
 
     def _build_multiplier_eigenvalues(self) -> np.ndarray:
-        lam = self._eig_1d(np.arange(self.m, dtype=float))
+        # 1D eigenvalues -4/h^2 sin^2(pi k / P), P = M (periodic) or 2M (DCT-II).
+        period = self.m if self.boundary == PERIODIC else 2 * self.m
+        k = np.arange(self.m, dtype=float)
+        lam = -(4.0 / self.h**2) * np.sin(np.pi * k / period) ** 2
         if self.boundary == PERIODIC:
             # rfft2 layout: full axis 0, half axis 1.
             half = lam[: self.m // 2 + 1]
             return lam[:, None] + half[None, :]
         return lam[:, None] + lam[None, :]
-
-    @property
-    def multiplier_eigenvalues(self) -> np.ndarray:
-        """Laplacian eigenvalues in the layout used by ``apply_multiplier``."""
-        return self._mult_eigs
 
     def fast_forward(self, v: np.ndarray) -> np.ndarray:
         """Forward transform in the layout of ``multiplier_eigenvalues``."""

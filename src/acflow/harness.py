@@ -98,6 +98,20 @@ class InvariantViolation(AcflowError):
         self.row = row
 
 
+def _fit_tail(stepping: AdaptiveStepping, t: float, t_end: float, tau: float,
+              slack: float) -> float:
+    """Clip an adaptive step to t_end; a tail shorter than tau_min is merged
+    into this step if that fits under tau_max, else split into two equal steps."""
+    remainder = t_end - t
+    if remainder - tau >= stepping.tau_min or abs(remainder - tau) <= slack:
+        return min(tau, remainder)
+    for pieces in (1, 2):
+        if stepping.tau_min <= remainder / pieces <= stepping.tau_max:
+            return remainder / pieces
+    raise ValueError(f"cannot reach t_end={t_end} from t={t} with steps in "
+                     f"[tau_min={stepping.tau_min}, tau_max={stepping.tau_max}]")
+
+
 def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRow]]:
     """Step the configured scheme from t = 0 to t_end.
 
@@ -125,10 +139,10 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
                 tau = cfg.stepping.tau_min
             else:
                 tau = cfg.stepping.next_tau(prev_energy, rows[-1].energy, prev_tau)
+            tau = _fit_tail(cfg.stepping, state.t, cfg.t_end, tau, endpoint_slack)
         else:
-            tau = cfg.stepping.tau
-        # Shorten the last step to land exactly on t_end.
-        tau = min(tau, cfg.t_end - state.t)
+            # Shorten the last step to land exactly on t_end.
+            tau = min(cfg.stepping.tau, cfg.t_end - state.t)
 
         prev_energy = rows[-1].energy
         prev_tau = tau

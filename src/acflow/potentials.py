@@ -116,9 +116,6 @@ class ConstantSigma:
             raise ValueError(f"constant sigma must be positive, got {c}")
         self.c = float(c)
 
-    def value(self, x: float) -> float:
-        return self.c
-
     def ratio(self, r: float, e1: float) -> float:
         return 1.0
 
@@ -132,9 +129,6 @@ class ExpSigma:
         if a <= 0:
             raise ValueError(f"exp sigma rate must be positive, got {a}")
         self.a = float(a)
-
-    def value(self, x: float) -> float:
-        return float(np.exp(self.a * x))
 
     def ratio(self, r: float, e1: float) -> float:
         # Evaluated as exp(a*(r - e1)) so O(1) arguments with large a never

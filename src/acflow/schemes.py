@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericFailure, NumericRangeError
+from .errors import DomainBoundError, NumericFailure, NumericRangeError
 from .expkernel import StabilizedOperator
 from .grid import Grid
 from .potentials import bulk_energy
@@ -40,10 +40,6 @@ class SchemeConfig:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
-    @property
-    def guarantees_mbp(self) -> bool:
-        return self.kappa >= self.potential.lipschitz
-
 
 @dataclass
 class SolverState:
@@ -59,48 +55,56 @@ def initial_state(grid: Grid, cfg: SchemeConfig, u0: np.ndarray) -> SolverState:
     return SolverState(u=u0, s=bulk_energy(grid, cfg.potential, u0))
 
 
-def nonlinear_term(grid: Grid, cfg: SchemeConfig, u: np.ndarray, s: float,
-                   g_fixed: float) -> np.ndarray:
-    """g(u, s) f(u) + kappa * g_fixed * u, with g_fixed the frozen coefficient
-    that also enters the linear operator."""
+def _frozen_at(grid: Grid, cfg: SchemeConfig, u: np.ndarray, s: float):
+    """Freeze a step at (u, s): the shaping ratio g, f(u), the operator
+    kappa g I - eps^2 Lap_h and the nonlinear term N = g (f(u) + kappa u)."""
     g = cfg.sigma.ratio(s, bulk_energy(grid, cfg.potential, u))
-    return g * cfg.potential.f(u) + cfg.kappa * g_fixed * u
+    fu = cfg.potential.f(u)
+    op = StabilizedOperator(grid, cfg.kappa * g, cfg.eps ** 2)
+    return g, fu, op, g * (fu + cfg.kappa * u)
 
 
-def _check_finite(u: np.ndarray, s: float, step: int, label: str):
-    if not np.isfinite(s) or not np.all(np.isfinite(u)):
-        raise NumericFailure(f"non-finite state after {label}", step=step)
+def _next_state(state: SolverState, u_new: np.ndarray, s_new: float,
+                tau: float, g: float, label: str) -> SolverState:
+    if not np.isfinite(s_new) or not np.all(np.isfinite(u_new)):
+        raise NumericFailure(f"non-finite state after {label}", step=state.step + 1)
+    return SolverState(u=u_new, s=s_new, t=state.t + tau, step=state.step + 1,
+                       g=g)
 
 
 def _numeric_guard(fn):
-    """Attach the failing step index to scalar range errors raised mid-step."""
+    """Reject tau <= 0 and give range and domain errors the failing step."""
 
     @functools.wraps(fn)
     def wrapper(grid, cfg, state, tau):
+        if tau <= 0:
+            raise ValueError(f"tau must be positive, got {tau}")
         try:
             return fn(grid, cfg, state, tau)
-        except NumericRangeError as exc:
+        except (NumericRangeError, DomainBoundError) as exc:
             raise NumericFailure(str(exc), step=state.step + 1) from exc
 
     return wrapper
+
+
+def _first_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
+                 tau: float, implicit: bool) -> SolverState:
+    """One step with everything frozen at (u^n, s^n); the linear part is the
+    exponential (ei1) or the backward-Euler resolvent (stab1)."""
+    u, s = state.u, state.s
+    g_n, fu, op, nonlin = _frozen_at(grid, cfg, u, s)
+    u_new = (op.solve_shifted(tau, u + tau * nonlin) if implicit
+             else op.advance(tau, u, nonlin))
+    s_new = s - g_n * grid.inner(fu, u_new - u)
+    return _next_state(state, u_new, s_new, tau, g_n,
+                       "stab1 step" if implicit else "ei1 step")
 
 
 @_numeric_guard
 def step_ei1(grid: Grid, cfg: SchemeConfig, state: SolverState,
              tau: float) -> SolverState:
     """First-order exponential step with the operator frozen at (u^n, s^n)."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    u, s = state.u, state.s
-    g_n = cfg.sigma.ratio(s, bulk_energy(grid, cfg.potential, u))
-    fu = cfg.potential.f(u)
-    op = StabilizedOperator(grid, cfg.kappa * g_n, cfg.eps ** 2)
-    nonlin = g_n * (fu + cfg.kappa * u)
-    u_new = op.advance(tau, u, nonlin)
-    s_new = s - g_n * grid.inner(fu, u_new - u)
-    _check_finite(u_new, s_new, state.step + 1, "ei1 step")
-    return SolverState(u=u_new, s=s_new, t=state.t + tau, step=state.step + 1,
-                       g=g_n)
+    return _first_order(grid, cfg, state, tau, implicit=False)
 
 
 @_numeric_guard
@@ -114,18 +118,12 @@ def step_ei2(grid: Grid, cfg: SchemeConfig, state: SolverState,
     """
     pred = step_ei1(grid, cfg, state, tau)
     u, s = state.u, state.s
-    u_mid = 0.5 * (u + pred.u)
-    s_mid = 0.5 * (s + pred.s)
-    g_m = cfg.sigma.ratio(s_mid, bulk_energy(grid, cfg.potential, u_mid))
-    f_mid = cfg.potential.f(u_mid)
-    op = StabilizedOperator(grid, cfg.kappa * g_m, cfg.eps ** 2)
-    nonlin = g_m * (f_mid + cfg.kappa * u_mid)
+    g_m, f_mid, op, nonlin = _frozen_at(grid, cfg, 0.5 * (u + pred.u),
+                                        0.5 * (s + pred.s))
     u_new = op.advance(tau, u, nonlin)
     s_new = (s - g_m * grid.inner(f_mid, u_new - u)
              + 0.5 * cfg.kappa * g_m * grid.inner(u_new - pred.u, u_new - u))
-    _check_finite(u_new, s_new, state.step + 1, "ei2 step")
-    return SolverState(u=u_new, s=s_new, t=state.t + tau, step=state.step + 1,
-                       g=g_m)
+    return _next_state(state, u_new, s_new, tau, g_m, "ei2 step")
 
 
 @_numeric_guard
@@ -133,18 +131,7 @@ def step_stab1(grid: Grid, cfg: SchemeConfig, state: SolverState,
                tau: float) -> SolverState:
     """Semi-implicit variant: e^{-tau L} replaced by (I + tau L)^{-1}, so
     (I + tau L) u^{n+1} = u^n + tau N; the s-update matches ei1."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    u, s = state.u, state.s
-    g_n = cfg.sigma.ratio(s, bulk_energy(grid, cfg.potential, u))
-    fu = cfg.potential.f(u)
-    op = StabilizedOperator(grid, cfg.kappa * g_n, cfg.eps ** 2)
-    nonlin = g_n * (fu + cfg.kappa * u)
-    u_new = op.solve_shifted(tau, u + tau * nonlin)
-    s_new = s - g_n * grid.inner(fu, u_new - u)
-    _check_finite(u_new, s_new, state.step + 1, "stab1 step")
-    return SolverState(u=u_new, s=s_new, t=state.t + tau, step=state.step + 1,
-                       g=g_n)
+    return _first_order(grid, cfg, state, tau, implicit=True)
 
 
 _STEPPERS = {EI1: step_ei1, EI2: step_ei2, STAB1: step_stab1}

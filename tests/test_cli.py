@@ -5,6 +5,7 @@ import pytest
 
 from acflow.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from acflow.harness import DIAGNOSTICS_HEADER
+from acflow.verify import verify_suite
 
 
 def test_run_writes_diagnostics(tmp_path, capsys):
@@ -75,3 +76,13 @@ def test_verify_empty_profile(capsys):
     rc = main(["verify", "--profile"])
     assert rc == EXIT_OK
     assert json.loads(capsys.readouterr().out)["checks"] == []
+
+
+def test_verify_seed_zero_is_used(capsys):
+    rc = main(["verify", "--profile", "lemmas", "--seed", "0"])
+    assert rc == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == verify_suite(("lemmas",), seed=0)
+
+
+def test_verify_rejects_run_flags():
+    assert main(["verify", "--grid-m", "64"]) == EXIT_USAGE

@@ -34,7 +34,7 @@ class TestStencils:
         grid = Grid(8, 1.0)
         x, _ = grid.meshgrid()
         v = np.cos(2 * np.pi * x / grid.length)
-        lam = grid.eigenvalue(1, 0)
+        lam = grid.multiplier_eigenvalues[1, 0]
         assert np.allclose(grid.laplacian(v), lam * v, rtol=1e-12, atol=1e-9)
         dense_eigs = np.sort(np.linalg.eigvalsh(dense_laplacian(grid)))
         assert np.min(np.abs(dense_eigs - lam)) < 1e-9 * abs(lam)
@@ -100,33 +100,34 @@ class TestInnerProducts:
 
 class TestEigenvalues:
     def test_constant_mode_is_zero(self, boundary):
-        assert Grid(8, 1.0, boundary).eigenvalue(0, 0) == 0.0
+        assert Grid(8, 1.0, boundary).multiplier_eigenvalues[0, 0] == 0.0
 
     def test_nyquist_mode_periodic(self):
         grid = Grid(8, 1.0)
-        assert grid.eigenvalue(4, 4) == pytest.approx(-8.0 / grid.h**2, rel=1e-14)
+        assert grid.multiplier_eigenvalues[4, 4] == pytest.approx(-8.0 / grid.h**2,
+                                                                  rel=1e-14)
 
     def test_full_spectrum_matches_dense(self, boundary):
-        grid = Grid(6, 1.0, boundary)
-        dense = np.sort(np.linalg.eigvalsh(dense_laplacian(grid)))
-        analytic = np.sort([grid.eigenvalue(k, l) for k in range(6) for l in range(6)])
-        scale = max(1.0, np.max(np.abs(dense)))
-        assert np.max(np.abs(dense - analytic)) <= 1e-12 * scale
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            Grid(4).eigenvalue(4, 0)
+        # The spectral Laplacian equals the dense stencil matrix on every
+        # field, so its multipliers are the full dense spectrum.
+        for m in (6, 7, 8):
+            grid = Grid(m, 1.0, boundary)
+            v = random_field(grid, m)
+            dense = (dense_laplacian(grid) @ v.ravel()).reshape(m, m)
+            spectral = grid.apply_multiplier(v, grid.multiplier_eigenvalues)
+            scale = max(1.0, np.max(np.abs(dense)))
+            assert np.max(np.abs(dense - spectral)) <= 1e-12 * scale
 
 
 class TestTransforms:
     def test_zero_field(self, boundary):
         grid = Grid(8, 1.0, boundary)
-        assert np.allclose(grid.to_spectral(np.zeros((8, 8))), 0.0)
+        assert np.allclose(grid.fast_forward(np.zeros((8, 8))), 0.0)
 
     def test_constant_field_single_mode(self, boundary):
         grid = Grid(8, 1.0, boundary)
-        c = grid.to_spectral(np.full((8, 8), 1.5))
-        mask = np.zeros((8, 8), dtype=bool)
+        c = grid.fast_forward(np.full((8, 8), 1.5))
+        mask = np.zeros(c.shape, dtype=bool)
         mask[0, 0] = True
         assert abs(c[0, 0]) > 0
         assert np.max(np.abs(c[~mask])) < 1e-12 * abs(c[0, 0])
@@ -134,14 +135,14 @@ class TestTransforms:
     def test_round_trip(self, boundary):
         grid = Grid(16, 1.0, boundary)
         v = random_field(grid, 5)
-        back = grid.from_spectral(grid.to_spectral(v))
+        back = grid.fast_inverse(grid.fast_forward(v))
         assert grid.norm2(back - v) <= 1e-12 * grid.norm2(v)
 
     def test_diagonalization_consistency(self, boundary):
         grid = Grid(16, 1.0, boundary)
         v = random_field(grid, 6)
-        lhs = grid.to_spectral(grid.laplacian(v))
-        rhs = grid.eigenvalues() * grid.to_spectral(v)
+        lhs = grid.fast_forward(grid.laplacian(v))
+        rhs = grid.multiplier_eigenvalues * grid.fast_forward(v)
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs(lhs - rhs)) <= 1e-11 * scale
 

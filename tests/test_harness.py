@@ -116,6 +116,27 @@ class TestRun:
         for r in rows[1:]:
             assert stepping.tau_min * (1 - 1e-12) <= r.tau <= stepping.tau_max
 
+    def test_adaptive_short_tail_is_split(self):
+        # Clipping the fourth step to t_end would leave a final step of 0.05,
+        # below tau_min = 0.1; the remaining 0.35 is split into two 0.175 steps.
+        grid = Grid(16)
+        stepping = AdaptiveStepping(tau_min=0.1, tau_max=0.3, alpha=1e-12)
+        cfg = RunConfig(grid=grid, scheme=dw_config(), stepping=stepping,
+                        t_end=1.05)
+        _, rows = run(init_random(grid, -0.8, 0.8, 1), cfg)
+        taus = [r.tau for r in rows[1:]]
+        assert all(stepping.tau_min <= tau <= stepping.tau_max for tau in taus)
+        assert taus[-2:] == pytest.approx([0.175, 0.175], rel=1e-12)
+        assert rows[-1].t == cfg.t_end
+
+    def test_adaptive_unreachable_end_is_rejected(self):
+        grid = Grid(16)
+        stepping = AdaptiveStepping(tau_min=0.1, tau_max=0.3, alpha=1e5)
+        cfg = RunConfig(grid=grid, scheme=dw_config(), stepping=stepping,
+                        t_end=0.05)
+        with pytest.raises(ValueError, match=r"t=0\.0 .*tau_min=0\.1.*tau_max=0\.3"):
+            run(init_random(grid, -0.8, 0.8, 1), cfg)
+
     def test_output_files(self, tmp_path):
         grid = Grid(16)
         out = tmp_path / "traj"

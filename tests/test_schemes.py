@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acflow.errors import NumericFailure
+from acflow.errors import DomainBoundError, NumericFailure
 from acflow.expkernel import StabilizedOperator, dense_expm, dense_phi1m
 from acflow.grid import Grid
 from acflow.harness import init_random, init_sine
@@ -17,8 +17,8 @@ from acflow.potentials import (
 from acflow.schemes import (
     SchemeConfig,
     SolverState,
+    _frozen_at,
     initial_state,
-    nonlinear_term,
     reference_solution,
     step,
     step_ei1,
@@ -34,18 +34,20 @@ def dw_config(scheme="ei1", a=1.0, eps=0.01):
 
 
 class TestNonlinearTerm:
+    """N = g (f(u) + kappa u), frozen at (u, s) together with the operator."""
+
     grid = Grid(16)
 
     def test_pure_state(self):
         cfg = dw_config()
         u = np.ones((16, 16))
-        s = bulk_energy(self.grid, cfg.potential, u)  # = 0
-        out = nonlinear_term(self.grid, cfg, u, s, g_fixed=1.0)
+        s = bulk_energy(self.grid, cfg.potential, u)  # = 0, so g = 1
+        _, _, _, out = _frozen_at(self.grid, cfg, u, s)
         assert np.allclose(out, cfg.kappa, rtol=1e-14)
 
     def test_zero_state(self):
         cfg = dw_config()
-        out = nonlinear_term(self.grid, cfg, np.zeros((16, 16)), 0.0, g_fixed=1.0)
+        _, _, _, out = _frozen_at(self.grid, cfg, np.zeros((16, 16)), 0.0)
         assert np.all(out == 0.0)
 
     def test_sup_bound_from_stabilization(self):
@@ -55,8 +57,9 @@ class TestNonlinearTerm:
         for _ in range(20):
             u = rng.uniform(-1.0, 1.0, (16, 16))
             s = rng.uniform(-1.0, 1.0)
-            g = cfg.sigma.ratio(s, bulk_energy(self.grid, cfg.potential, u))
-            out = nonlinear_term(self.grid, cfg, u, s, g_fixed=g)
+            g, _, op, out = _frozen_at(self.grid, cfg, u, s)
+            assert g == cfg.sigma.ratio(s, bulk_energy(self.grid, cfg.potential, u))
+            assert op.c == cfg.kappa * g
             assert np.max(np.abs(out)) <= cfg.kappa * cfg.potential.beta * g + 1e-12
 
 
@@ -234,6 +237,20 @@ class TestFailureModes:
         with pytest.raises(NumericFailure) as exc:
             step_ei1(grid, cfg, bad, 0.1)
         assert exc.value.step == 5
+
+    def test_domain_error_raises_with_step(self):
+        # |u| = 1 is outside the Flory-Huggins domain; the step index must
+        # still be attached, with the domain error kept as the cause.
+        grid = Grid(8, 1.0, "neumann")
+        pot = FloryHuggins()
+        cfg = SchemeConfig(eps=0.01, kappa=pot.lipschitz, potential=pot,
+                           sigma=ExpSigma(1.0), scheme="ei2")
+        u = np.zeros((8, 8))
+        u[0, 0] = 1.0
+        with pytest.raises(NumericFailure) as exc:
+            step_ei2(grid, cfg, SolverState(u=u, s=0.0, step=4), 0.1)
+        assert exc.value.step == 5
+        assert isinstance(exc.value.__cause__, DomainBoundError)
 
     def test_rejects_nonpositive_tau(self):
         grid = Grid(8)
