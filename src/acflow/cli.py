@@ -32,7 +32,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_setup(p: argparse.ArgumentParser):
+    """Flags that fix the problem: grid, potential, scheme, horizon, u0."""
     p.add_argument("--grid-m", type=int, default=128)
     p.add_argument("--grid-l", type=float, default=1.0)
     p.add_argument("--boundary", choices=["periodic", "neumann"], default="periodic")
@@ -46,19 +47,12 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--kappa", type=float, default=None,
                    help="stabilizing constant; defaults to the Lipschitz bound")
-    p.add_argument("--tau", type=float, default=0.01)
-    p.add_argument("--adaptive", action="store_true")
-    p.add_argument("--tau-min", type=float, default=0.0001)
-    p.add_argument("--tau-max", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=1e5)
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--init", choices=["sine", "random"], default="sine")
     p.add_argument("--amplitude", type=float, default=0.1)
     p.add_argument("--lo", type=float, default=-0.8)
     p.add_argument("--hi", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--snapshot-every", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,13 +61,20 @@ def build_parser() -> argparse.ArgumentParser:
                                  "for Allen-Cahn type gradient flows")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", parents=[], help="integrate one trajectory")
-    _add_common(p_run)
+    p_run = sub.add_parser("run", help="integrate one trajectory")
+    _add_setup(p_run)
+    p_run.add_argument("--tau", type=float, default=0.01)
+    p_run.add_argument("--adaptive", action="store_true")
+    p_run.add_argument("--tau-min", type=float, default=0.0001)
+    p_run.add_argument("--tau-max", type=float, default=0.1)
+    p_run.add_argument("--alpha", type=float, default=1e5)
+    p_run.add_argument("--out", type=str, default=None)
+    p_run.add_argument("--snapshot-every", type=int, default=0)
     p_run.add_argument("--check-invariants", action="store_true",
                        help="assert MBP and modified-energy decay per step")
 
     p_conv = sub.add_parser("converge", help="temporal convergence sweep")
-    _add_common(p_conv)
+    _add_setup(p_conv)
     p_conv.add_argument("--taus", type=str, required=True,
                         help="comma-separated list of step sizes")
     p_conv.add_argument("--tau-ref", type=float, required=True)

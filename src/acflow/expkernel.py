@@ -1,7 +1,7 @@
 """Exponential kernels of the stabilized operator L = c I - eps^2 Lap_h.
 
 The production path works in the trigonometric eigenbasis (FFT / DCT-II);
-dense matrix routines are kept only as small-grid oracles for testing and
+the dense matrix routines are small-grid oracles for ``acflow.verify`` and
 are deliberately independent of both scipy.linalg and the spectral path.
 """
 
@@ -51,24 +51,8 @@ class StabilizedOperator:
         # Eigenvalues of L in the fast-transform layout; all >= c > 0.
         self._eigs = self.c - self.eps2 * grid.multiplier_eigenvalues
 
-    def apply_exp(self, tau: float, v: np.ndarray) -> np.ndarray:
-        """e^{-tau L} v via spectral multiplication."""
-        if tau < 0:
-            raise ValueError(f"tau must be nonnegative, got {tau}")
-        return self.grid.apply_multiplier(v, np.exp(-tau * self._eigs))
-
-    def apply_phi1(self, tau: float, v: np.ndarray) -> np.ndarray:
-        """phi1(-tau L) v via spectral multiplication."""
-        if tau <= 0:
-            raise ValueError(f"tau must be positive, got {tau}")
-        return self.grid.apply_multiplier(v, phi1(-tau * self._eigs))
-
     def advance(self, tau: float, v: np.ndarray, nonlin: np.ndarray) -> np.ndarray:
-        """e^{-tau L} v + tau * phi1(-tau L) nonlin with one inverse transform.
-
-        Identical in exact arithmetic to composing apply_exp and apply_phi1;
-        this fused form is the stepping hot path.
-        """
+        """e^{-tau L} v + tau * phi1(-tau L) nonlin with one inverse transform."""
         if tau <= 0:
             raise ValueError(f"tau must be positive, got {tau}")
         z = -tau * self._eigs

@@ -61,9 +61,8 @@ class Grid:
         if self.boundary == PERIODIC:
             return np.roll(v, -offset, axis=axis)
         # Mirror reflection: the ghost cell copies the adjacent interior cell.
-        padded = np.pad(v, [(1, 1) if a == axis else (0, 0) for a in range(2)],
-                        mode="edge")
-        return np.take(padded, np.arange(self.m) + 1 + offset, axis=axis)
+        return np.take(v, np.clip(np.arange(self.m) + offset, 0, self.m - 1),
+                       axis=axis)
 
     def laplacian(self, v: np.ndarray) -> np.ndarray:
         """Five-point stencil (v_E + v_W + v_N + v_S - 4 v) / h^2."""

@@ -9,7 +9,8 @@ constant kappa.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
+from scipy.special import xlogy
 
 from .errors import DomainBoundError, NumericRangeError
 from .grid import Grid
@@ -47,33 +48,23 @@ class FloryHuggins:
         self.theta = float(theta)
         self.theta_c = float(theta_c)
         self.beta = self._compute_beta()
-        self.lipschitz = self._compute_lipschitz()
-        if not (self.f(self.beta) <= 0.0 <= self.f(-self.beta)):
-            raise ValueError("reaction sign condition f(beta) <= 0 <= f(-beta) failed")
-
-    def _f_scalar(self, u: float) -> float:
-        return 0.5 * self.theta * np.log((1.0 - u) / (1.0 + u)) + self.theta_c * u
+        # f' = theta_c - theta / (1 - u^2) is monotone in u^2, so |f'| peaks
+        # at an endpoint of [0, beta].
+        self.lipschitz = max(abs(self._fprime(0.0)), abs(self._fprime(self.beta)))
 
     def _compute_beta(self) -> float:
         # f(0+) > 0 and f(u) -> -inf as u -> 1-, so a sign change exists.
         lo, hi = 1e-12, 1.0 - 1e-12
-        if self._f_scalar(lo) <= 0 or self._f_scalar(hi) >= 0:
+        if self.f(lo) <= 0 or self.f(hi) >= 0:
             raise ValueError("no sign change of f on (0, 1); invalid parameters")
-        return float(brentq(self._f_scalar, lo, hi, xtol=1e-12))
+        beta = float(brentq(self.f, lo, hi, xtol=1e-12))
+        # brentq stops within xtol of the root on either side; the invariant
+        # interval needs f(beta) <= 0 (and f(-beta) >= 0, f being odd), and
+        # f(hi) < 0 was checked above.
+        return min(beta + 2e-12, hi) if self.f(beta) > 0 else beta
 
     def _fprime(self, u: float) -> float:
         return -self.theta / (1.0 - u * u) + self.theta_c
-
-    def _compute_lipschitz(self) -> float:
-        # |f'| is even and its maximum sits at the endpoints u = +-beta for
-        # the parameters of interest; search anyway to stay robust.
-        us = np.linspace(0.0, self.beta, 512)
-        vals = np.abs([self._fprime(u) for u in us])
-        best = float(np.max(vals))
-        res = minimize_scalar(lambda u: -abs(self._fprime(u)),
-                              bounds=(0.0, self.beta), method="bounded",
-                              options={"xatol": 1e-10})
-        return max(best, float(-res.fun), abs(self._fprime(self.beta)))
 
     def _check_domain(self, u):
         if np.any(np.abs(u) >= 1.0):
@@ -90,7 +81,6 @@ class FloryHuggins:
         u = np.asarray(u, dtype=float)
         self._check_domain(u)
         # xlogy handles the 0*log(0) = 0 convention at u = +-1 limits.
-        from scipy.special import xlogy
         ent = xlogy(1.0 + u, 1.0 + u) + xlogy(1.0 - u, 1.0 - u)
         return 0.5 * self.theta * ent - 0.5 * self.theta_c * u**2
 
@@ -110,11 +100,6 @@ class ConstantSigma:
     """Positive constant shaping function; the ratio degenerates to exactly 1."""
 
     name = "const"
-
-    def __init__(self, c: float = 1.0):
-        if c <= 0:
-            raise ValueError(f"constant sigma must be positive, got {c}")
-        self.c = float(c)
 
     def ratio(self, r: float, e1: float) -> float:
         return 1.0

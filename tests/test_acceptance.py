@@ -8,8 +8,7 @@ see the per-criterion lines.
 import numpy as np
 import pytest
 
-from acflow.expkernel import StabilizedOperator, dense_expm, dense_phi1m, phi1
-from acflow.grid import Grid, dense_laplacian
+from acflow.grid import Grid
 from acflow.harness import RunConfig, init_random, init_sine, run
 from acflow.potentials import (
     ConstantSigma,
@@ -25,6 +24,7 @@ from acflow.schemes import (
     step,
 )
 from acflow.timestep import AdaptiveStepping, UniformStepping
+from acflow.verify import verify_suite
 
 M = 128
 EPS = 0.01
@@ -134,52 +134,22 @@ def test_criterion_4_modified_energy_dissipation(bound_trajectories):
            f"worst energy rise = {worst_rise:.3e}, worst s excess = {worst_s:.3e}")
 
 
+def report_suite(criterion: str, profile: str):
+    """Run one verify profile; print each check's detail, then the verdict."""
+    suite = verify_suite((profile,))
+    for check in suite["checks"]:
+        print(f"    {check['name']}: {check['detail']}")
+    report(criterion, suite["passed"],
+           f"{len(suite['checks'])} checks, failed: "
+           f"{[f['name'] for f in suite['failures']]}")
+
+
 def test_criterion_5_kernel_oracle_equivalence():
-    rng = np.random.default_rng(77)
-    grid = Grid(8)
-    worst = 0.0
-    for _ in range(50):
-        c = rng.uniform(0.1, 5.0)
-        eps2 = rng.uniform(1e-4, 0.05)
-        tau = rng.uniform(1e-3, 1.0)
-        v = rng.standard_normal((8, 8))
-        op = StabilizedOperator(grid, c, eps2)
-        dense = op.dense_matrix()
-        ref_e = (dense_expm(-tau * dense) @ v.ravel()).reshape(8, 8)
-        ref_p = (dense_phi1m(-tau * dense) @ v.ravel()).reshape(8, 8)
-        worst = max(worst,
-                    grid.norm2(op.apply_exp(tau, v) - ref_e) / grid.norm2(ref_e),
-                    grid.norm2(op.apply_phi1(tau, v) - ref_p) / grid.norm2(ref_p))
-    report("5 spectral vs dense kernel oracles (rel L2 <= 1e-9)",
-           worst <= 1e-9, f"worst relative error = {worst:.3e}")
+    report_suite("5 spectral vs dense kernel oracles, summation by parts", "oracles")
 
 
-def test_criterion_6_lemma_suite(potentials):
-    rng = np.random.default_rng(88)
-    # stabilization bound |f(x) + kappa x| <= kappa beta
-    stab_ok = True
-    for pot in potentials.values():
-        xs = rng.uniform(-pot.beta, pot.beta, 10_000)
-        stab_ok &= bool(np.max(np.abs(pot.f(xs) + pot.lipschitz * xs))
-                        <= pot.lipschitz * pot.beta + 1e-12)
-    # contraction ||e^{a Lap - b I}||_inf <= e^{-b}
-    contr_ok = True
-    grid = Grid(8)
-    lap = dense_laplacian(grid)
-    for _ in range(50):
-        a = rng.uniform(0.0, 0.05)
-        b = rng.uniform(0.0, 5.0)
-        mat = dense_expm(a * lap - b * np.eye(64))
-        contr_ok &= bool(np.max(np.sum(np.abs(mat), axis=1)) <= np.exp(-b) + 1e-12)
-    # scalar exponential inequalities on (0, 50]
-    av = rng.uniform(1e-12, 50.0, 10_000)
-    p = phi1(-av)
-    em = 1.0 - np.exp(-av)
-    phi_ok = bool(np.all((0 < em) & (em < av)) and np.all((0 < p) & (p < 1))
-                  and np.all((1 < (1 + av) * p) & ((1 + av) * p < 2)))
-    report("6 lemma suite (stabilization, contraction, phi1 bounds)",
-           stab_ok and contr_ok and phi_ok,
-           f"stabilization={stab_ok}, contraction={contr_ok}, phi1={phi_ok}")
+def test_criterion_6_lemma_suite():
+    report_suite("6 lemma suite (stabilization, contraction, phi1 bounds)", "lemmas")
 
 
 def test_criterion_7_adaptive_time_stepping():

@@ -86,3 +86,12 @@ def test_verify_seed_zero_is_used(capsys):
 
 def test_verify_rejects_run_flags():
     assert main(["verify", "--grid-m", "64"]) == EXIT_USAGE
+
+
+def test_converge_rejects_run_flags():
+    base = ["converge", "--grid-m", "16", "--taus", "0.25,0.125",
+            "--tau-ref", "0.00390625"]
+    for flag in (["--tau", "0.1"], ["--adaptive"], ["--tau-min", "5"],
+                 ["--tau-max", "1"], ["--alpha", "1"], ["--out", "d"],
+                 ["--snapshot-every", "1"]):
+        assert main(base + flag) == EXIT_USAGE

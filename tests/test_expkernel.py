@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from acflow.expkernel import StabilizedOperator, dense_expm, dense_phi1m, phi1
-from acflow.grid import Grid, dense_laplacian
+from acflow.expkernel import StabilizedOperator, dense_expm, phi1
+from acflow.grid import Grid
+from acflow.verify import (
+    BOUNDARIES,
+    exp_kernel_oracle,
+    phi1_inequalities,
+    semigroup_contraction,
+)
 
 
 class TestPhi1:
@@ -17,69 +23,48 @@ class TestPhi1:
             assert phi1(z) == pytest.approx(1.0 + z / 2 + z * z / 6, rel=1e-14)
 
     def test_inequalities(self):
-        # 0 < 1-e^{-a} < a, 0 < phi1(-a) < 1, 1 < (1+a) phi1(-a) < 2
-        a = np.random.default_rng(0).uniform(1e-12, 50.0, 10_000)
-        p = phi1(-a)
-        em = 1.0 - np.exp(-a)
-        assert np.all((0 < em) & (em < a))
-        assert np.all((0 < p) & (p < 1))
-        assert np.all((1 < (1 + a) * p) & ((1 + a) * p < 2))
+        check = phi1_inequalities(np.random.default_rng(0))
+        assert check.passed, check.detail
 
 
-@pytest.fixture(params=["periodic", "neumann"])
+@pytest.fixture(params=BOUNDARIES)
 def grid8(request):
     return Grid(8, 1.0, request.param)
 
 
 class TestSpectralKernels:
-    def test_tau_zero_is_identity(self, grid8):
-        v = np.random.default_rng(1).standard_normal((8, 8))
-        op = StabilizedOperator(grid8, 2.0, 1e-4)
-        assert np.allclose(op.apply_exp(0.0, v), v, atol=1e-13)
-
     def test_constant_field_decays_by_exp_c(self):
         grid = Grid(8)
         op = StabilizedOperator(grid, 1.7, 1e-4)
-        out = op.apply_exp(0.3, np.ones((8, 8)))
+        out = op.advance(0.3, np.ones((8, 8)), np.zeros((8, 8)))
         assert np.allclose(out, np.exp(-0.3 * 1.7), rtol=1e-13)
 
     def test_constant_field_phi1(self):
         grid = Grid(8)
         op = StabilizedOperator(grid, 1.7, 1e-4)
-        out = op.apply_phi1(0.3, np.ones((8, 8)))
+        out = op.advance(0.3, np.zeros((8, 8)), np.ones((8, 8))) / 0.3
         assert np.allclose(out, phi1(-0.3 * 1.7), rtol=1e-13)
 
     def test_phi1_small_tau_limit(self, grid8):
         v = np.random.default_rng(2).standard_normal((8, 8))
         op = StabilizedOperator(grid8, 2.0, 1e-4)
-        out = op.apply_phi1(1e-12, v)
+        out = op.advance(1e-12, np.zeros((8, 8)), v) / 1e-12
         assert grid8.norm2(out - v) <= 1e-9 * grid8.norm2(v)
 
     def test_matches_dense_oracles(self, grid8):
-        rng = np.random.default_rng(3)
-        op_errs, phi_errs = [], []
-        for _ in range(50):
-            c = rng.uniform(0.1, 5.0)
-            eps2 = rng.uniform(1e-4, 0.05)
-            tau = rng.uniform(1e-3, 1.0)
-            v = rng.standard_normal((8, 8))
-            op = StabilizedOperator(grid8, c, eps2)
-            dense = op.dense_matrix()
-            ref_e = (dense_expm(-tau * dense) @ v.ravel()).reshape(8, 8)
-            ref_p = (dense_phi1m(-tau * dense) @ v.ravel()).reshape(8, 8)
-            op_errs.append(grid8.norm2(op.apply_exp(tau, v) - ref_e) / grid8.norm2(ref_e))
-            phi_errs.append(grid8.norm2(op.apply_phi1(tau, v) - ref_p) / grid8.norm2(ref_p))
-        assert max(op_errs) <= 1e-10
-        assert max(phi_errs) <= 1e-9
+        check = exp_kernel_oracle([grid8], np.random.default_rng(3))
+        assert check.passed, check.detail
 
     def test_advance_equals_composition(self, grid8):
+        # The fused step is the sum of its exponential and phi1 parts.
         rng = np.random.default_rng(4)
         v = rng.standard_normal((8, 8))
         n = rng.standard_normal((8, 8))
+        zero = np.zeros((8, 8))
         op = StabilizedOperator(grid8, 2.0, 1e-4)
         tau = 0.37
         fused = op.advance(tau, v, n)
-        split = op.apply_exp(tau, v) + tau * op.apply_phi1(tau, n)
+        split = op.advance(tau, v, zero) + op.advance(tau, zero, n)
         assert grid8.norm2(fused - split) <= 1e-13 * grid8.norm2(split)
 
     def test_rejects_nonpositive_coefficient(self):
@@ -103,17 +88,9 @@ class TestDenseOracles:
         assert np.max(np.abs(E @ L - L @ E)) <= 1e-10
 
     def test_contraction_semigroup(self):
-        # ||e^{a Lap - b I}||_inf <= e^{-b}
-        rng = np.random.default_rng(5)
-        for boundary in ("periodic", "neumann"):
-            grid = Grid(8, 1.0, boundary)
-            lap = dense_laplacian(grid)
-            for _ in range(25):
-                a = rng.uniform(0.0, 0.05)
-                b = rng.uniform(0.0, 4.0)
-                mat = dense_expm(a * lap - b * np.eye(64))
-                norm = np.max(np.sum(np.abs(mat), axis=1))
-                assert norm <= np.exp(-b) + 1e-12
+        grids = [Grid(8, 1.0, b) for b in BOUNDARIES]
+        check = semigroup_contraction(grids, np.random.default_rng(5))
+        assert check.passed, check.detail
 
     def test_dense_matrix_size_guard(self):
         with pytest.raises(ValueError):

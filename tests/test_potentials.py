@@ -15,6 +15,7 @@ from acflow.potentials import (
     modified_energy,
     total_energy,
 )
+from acflow.verify import stabilization_bound
 
 
 class TestDoubleWell:
@@ -49,6 +50,15 @@ class TestFloryHuggins:
     def test_F_at_zero(self):
         assert self.pot.F(0.0) == 0.0
 
+    def test_near_critical_parameters_accepted(self):
+        # theta_c / theta = 1.01: f(-beta) rounds to a tiny negative value,
+        # which must not be mistaken for a failed sign condition.
+        pot = FloryHuggins(1.0, 1.01)
+        assert 0.0 < pot.beta < 1.0
+        assert pot.f(pot.beta) == pytest.approx(0.0, abs=1e-12)
+        assert pot.lipschitz == pytest.approx(abs(1.01 - 1.0 / (1.0 - pot.beta**2)),
+                                              rel=1e-15)
+
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):
             FloryHuggins(theta=0.8, theta_c=0.8)
@@ -77,11 +87,8 @@ class TestReactionProperties:
         assert np.max(np.abs(fd - pot.f(u))) <= 1e-8
 
     def test_stabilization_bound(self, pot):
-        # |f(x) + kappa x| <= kappa * beta on [-beta, beta]
-        rng = np.random.default_rng(1)
-        xs = rng.uniform(-pot.beta, pot.beta, 10_000)
-        kappa = pot.lipschitz
-        assert np.max(np.abs(pot.f(xs) + kappa * xs)) <= kappa * pot.beta + 1e-12
+        check = stabilization_bound(pot, np.random.default_rng(1))
+        assert check.passed, check.detail
 
     def test_sign_condition(self, pot):
         assert pot.f(pot.beta) <= 0.0 <= pot.f(-pot.beta)
@@ -89,8 +96,7 @@ class TestReactionProperties:
 
 class TestSigma:
     def test_constant_ratio_is_exactly_one(self):
-        s = ConstantSigma(3.0)
-        assert s.ratio(17.2, -4.1) == 1.0
+        assert ConstantSigma().ratio(17.2, -4.1) == 1.0
 
     def test_ratio_at_equal_arguments(self):
         for s in (ExpSigma(7.0), ArctanSigma(), TanhSigma()):
@@ -113,8 +119,6 @@ class TestSigma:
                 assert g1 <= g2 * (1 + 1e-13)
 
     def test_rejects_nonpositive_parameters(self):
-        with pytest.raises(ValueError):
-            ConstantSigma(0.0)
         with pytest.raises(ValueError):
             ExpSigma(-1.0)
 

@@ -1,12 +1,14 @@
 """Property-based checks of the unconditional guarantees.
 
-For any boundary, potential, shaping function, rate a, stabilization
+For any boundary, potential (Flory-Huggins with theta in [0.05, 2] and
+theta_c / theta in [1.001, 3]), shaping function, rate a, stabilization
 kappa >= Lipschitz bound, step tau in [1e-3, 1] and interface width eps,
 every scheme must keep the sup norm below beta (MBP), never raise the
 modified energy, and keep the auxiliary variable below the initial total
 energy.  The bounds are the same as in the acceptance suite.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,16 +22,21 @@ from acflow.potentials import (
     total_energy,
 )
 from acflow.schemes import SCHEMES, SchemeConfig, initial_state, step
+from acflow.verify import stabilization_bound
 
 MBP_TOL = 1e-12
 ENERGY_TOL = 1e-10
 
-POTENTIALS = {"double-well": DoubleWell(), "flory-huggins": FloryHuggins()}
+
+@st.composite
+def flory_huggins(draw):
+    theta = draw(st.floats(0.05, 2.0))
+    return FloryHuggins(theta, theta * draw(st.floats(1.001, 3.0)))
 
 
 @st.composite
 def problems(draw):
-    pot = POTENTIALS[draw(st.sampled_from(sorted(POTENTIALS)))]
+    pot = draw(st.one_of(st.just(DoubleWell()), flory_huggins()))
     grid = Grid(draw(st.sampled_from([4, 8, 16])), 1.0,
                 draw(st.sampled_from(["periodic", "neumann"])))
     cfg = SchemeConfig(
@@ -59,3 +66,17 @@ def test_mbp_energy_decay_and_aux_bound(problem):
         assert curr <= prev + ENERGY_TOL
         assert state.s <= e0 + ENERGY_TOL
         prev = curr
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(flory_huggins())
+def test_flory_huggins_bounds(pot):
+    assert 0.0 < pot.beta < 1.0
+    # beta is the root of f, taken on the side where f(beta) <= 0
+    assert pot.f(pot.beta - 1e-11) > 0.0 >= pot.f(pot.beta)
+    # f' = theta_c - theta / (1 - u^2), sampled densely on [0, beta]
+    u = np.linspace(0.0, pot.beta, 100_001)
+    fprime = pot.theta_c - pot.theta / (1.0 - u * u)
+    assert np.max(np.abs(fprime)) <= pot.lipschitz
+    check = stabilization_bound(pot, np.random.default_rng(0))
+    assert check.passed, check.detail
