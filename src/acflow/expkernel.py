@@ -21,9 +21,12 @@ def phi1(z):
     there is ~1e-45, far under double roundoff.
     """
     z = np.asarray(z, dtype=float)
-    out = np.expm1(z) / np.where(z == 0.0, 1.0, z)
     small = np.abs(z) < _PHI1_SERIES_CUTOFF
-    if np.any(small):
+    if not np.any(small):  # no z == 0 either: divide without the guard
+        out = np.expm1(z)
+        out /= z
+    else:
+        out = np.expm1(z) / np.where(z == 0.0, 1.0, z)
         zs = z[small] if out.ndim else z
         series = np.zeros_like(zs)
         term = np.ones_like(zs)
@@ -53,11 +56,19 @@ class StabilizedOperator:
 
     def advance(self, tau: float, v: np.ndarray, nonlin: np.ndarray) -> np.ndarray:
         """e^{-tau L} v + tau * phi1(-tau L) nonlin with one inverse transform."""
+        return self.advance_spectral(tau, self.grid.fast_forward(v), nonlin)
+
+    def advance_spectral(self, tau: float, v_hat: np.ndarray,
+                         nonlin: np.ndarray) -> np.ndarray:
+        """``advance`` given v_hat = ``grid.fast_forward(v)``, so steps that
+        start two stages from the same v transform it once."""
         if tau <= 0:
             raise ValueError(f"tau must be positive, got {tau}")
         z = -tau * self._eigs
-        combined = (self.grid.fast_forward(v) * np.exp(z)
-                    + tau * self.grid.fast_forward(nonlin) * phi1(z))
+        combined = self.grid.fast_forward(nonlin)
+        combined *= tau
+        combined *= phi1(z)
+        combined += v_hat * np.exp(z, out=z)
         return self.grid.fast_inverse(combined)
 
     def solve_shifted(self, tau: float, v: np.ndarray) -> np.ndarray:

@@ -113,12 +113,12 @@ class Grid:
     def fast_forward(self, v: np.ndarray) -> np.ndarray:
         """Forward transform in the layout of ``multiplier_eigenvalues``."""
         if self.boundary == PERIODIC:
-            return np.fft.rfft2(v)
+            return scipy.fft.rfft2(v)
         return scipy.fft.dctn(v, type=2, norm="ortho")
 
     def fast_inverse(self, c: np.ndarray) -> np.ndarray:
         if self.boundary == PERIODIC:
-            return np.fft.irfft2(c, s=(self.m, self.m))
+            return scipy.fft.irfft2(c, s=(self.m, self.m))
         return scipy.fft.idctn(c, type=2, norm="ortho")
 
     def apply_multiplier(self, v: np.ndarray, mult: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import xlogy
 
 from .errors import DomainBoundError, NumericRangeError
 from .grid import Grid
@@ -80,9 +79,17 @@ class FloryHuggins:
     def F(self, u):
         u = np.asarray(u, dtype=float)
         self._check_domain(u)
-        # xlogy handles the 0*log(0) = 0 convention at u = +-1 limits.
-        ent = xlogy(1.0 + u, 1.0 + u) + xlogy(1.0 - u, 1.0 - u)
-        return 0.5 * self.theta * ent - 0.5 * self.theta_c * u**2
+        # (1+u) log1p(u) + (1-u) log1p(-u), accumulated in place; the two
+        # terms swap under u -> -u, so F(-u) == F(u) exactly.
+        ent = np.log1p(u)
+        ent *= 1.0 + u
+        other = np.log1p(-u)
+        other *= 1.0 - u
+        ent += other
+        del other
+        ent *= 0.5 * self.theta
+        ent -= 0.5 * self.theta_c * u**2
+        return ent
 
 
 def make_potential(kind: str, theta: float = 0.8, theta_c: float = 1.6):

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from acflow import harness
 from acflow.grid import Grid
 from acflow.harness import (
     DIAGNOSTICS_HEADER,
@@ -12,7 +13,13 @@ from acflow.harness import (
     init_sine,
     run,
 )
-from acflow.potentials import DoubleWell, ExpSigma, modified_energy
+from acflow.potentials import (
+    DoubleWell,
+    ExpSigma,
+    FloryHuggins,
+    modified_energy,
+    total_energy,
+)
 from acflow.schemes import SchemeConfig
 from acflow.timestep import AdaptiveStepping, UniformStepping
 
@@ -98,6 +105,36 @@ class TestRun:
         last = rows[-1]
         assert last.modified_energy == pytest.approx(
             modified_energy(grid, state.u, state.s, scfg.eps), abs=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["ei1", "ei2", "stab1"])
+    @pytest.mark.parametrize("boundary,potential", [("periodic", DoubleWell),
+                                                    ("neumann", FloryHuggins)])
+    def test_energy_columns_are_exact(self, monkeypatch, scheme, boundary,
+                                      potential):
+        # The rows reuse each state's cached bulk energy and one interface
+        # energy; both columns must equal the energy functions bitwise.
+        states = []
+
+        def recording(fn):
+            def wrapper(*args):
+                states.append(fn(*args))
+                return states[-1]
+            return wrapper
+
+        monkeypatch.setattr(harness, "initial_state", recording(harness.initial_state))
+        monkeypatch.setattr(harness, "step", recording(harness.step))
+        grid = Grid(16, 1.0, boundary)
+        pot = potential()
+        scfg = SchemeConfig(eps=0.01, kappa=pot.lipschitz, potential=pot,
+                            sigma=ExpSigma(10.0), scheme=scheme)
+        cfg = RunConfig(grid=grid, scheme=scfg, stepping=UniformStepping(0.05),
+                        t_end=0.25)
+        _, rows = run(init_random(grid, -0.8, 0.8, 12), cfg)
+        assert len(rows) == len(states) == 6
+        for row, state in zip(rows, states):
+            assert row.energy == total_energy(grid, pot, state.u, scfg.eps)
+            assert row.modified_energy == modified_energy(grid, state.u, state.s,
+                                                          scfg.eps)
 
     def test_initial_g_is_exactly_one(self):
         grid = Grid(16)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from acflow.errors import DomainBoundError
 from acflow.grid import Grid
@@ -49,6 +50,21 @@ class TestFloryHuggins:
 
     def test_F_at_zero(self):
         assert self.pot.F(0.0) == 0.0
+        assert np.all(self.pot.F(np.zeros((4, 4))) == 0.0)
+
+    def test_F_is_even_bitwise(self):
+        u = np.random.default_rng(0).uniform(-self.pot.beta, self.pot.beta, 10_000)
+        assert np.array_equal(self.pot.F(-u), self.pot.F(u))
+
+    def test_F_matches_xlogy_form(self):
+        # The log1p form against the textbook (1+u)log(1+u) + (1-u)log(1-u).
+        def reference(u):
+            ent = xlogy(1.0 + u, 1.0 + u) + xlogy(1.0 - u, 1.0 - u)
+            return 0.5 * self.pot.theta * ent - 0.5 * self.pot.theta_c * u**2
+
+        u = np.concatenate([np.linspace(-self.pot.beta, self.pot.beta, 100_001),
+                            [1.0 - 1e-12, -(1.0 - 1e-12)]])
+        assert np.max(np.abs(self.pot.F(u) - reference(u))) <= 1e-15
 
     def test_near_critical_parameters_accepted(self):
         # theta_c / theta = 1.01: f(-beta) rounds to a tiny negative value,

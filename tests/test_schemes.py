@@ -229,6 +229,41 @@ class TestDegenerateSigma:
         assert state.s == bulk_energy(grid, cfg.potential, u0)
 
 
+@pytest.mark.parametrize("boundary,potential", [("periodic", DoubleWell),
+                                                ("neumann", FloryHuggins)])
+@pytest.mark.parametrize("scheme", ["ei1", "ei2", "stab1"])
+class TestCachedBulkEnergy:
+    """Each state carries E1(u) from the step that made it; a hand-built
+    state without it gets it on first use."""
+
+    def problem(self, boundary, potential, scheme):
+        grid = Grid(16, 1.0, boundary)
+        pot = potential()
+        cfg = SchemeConfig(eps=0.01, kappa=pot.lipschitz, potential=pot,
+                           sigma=ExpSigma(10.0), scheme=scheme)
+        return grid, cfg, init_random(grid, -0.8, 0.8, 11)
+
+    def test_hand_built_state_steps_like_initial_state(self, boundary, potential,
+                                                        scheme):
+        grid, cfg, u0 = self.problem(boundary, potential, scheme)
+        a = initial_state(grid, cfg, u0)
+        b = SolverState(u=u0.copy(), s=a.s)
+        assert b.e1 is None
+        for _ in range(3):
+            a = step(grid, cfg, a, 0.05)
+            b = step(grid, cfg, b, 0.05)
+            assert np.array_equal(a.u, b.u)
+            assert (a.s, a.g, a.e1) == (b.s, b.g, b.e1)
+
+    def test_each_state_holds_its_bulk_energy(self, boundary, potential, scheme):
+        grid, cfg, u0 = self.problem(boundary, potential, scheme)
+        state = initial_state(grid, cfg, u0)
+        for _ in range(3):
+            assert state.e1 == bulk_energy(grid, cfg.potential, state.u)
+            state = step(grid, cfg, state, 0.05)
+        assert state.e1 == bulk_energy(grid, cfg.potential, state.u)
+
+
 class TestFailureModes:
     def test_nonfinite_state_raises_with_step(self):
         grid = Grid(8)
@@ -236,6 +271,18 @@ class TestFailureModes:
         bad = SolverState(u=np.full((8, 8), 0.1), s=np.inf, t=0.0, step=4)
         with pytest.raises(NumericFailure) as exc:
             step_ei1(grid, cfg, bad, 0.1)
+        assert exc.value.step == 5
+
+    def test_nonfinite_predictor_raises_with_step(self):
+        # A NaN s passes the constant shaping ratio; the ei2 predictor's
+        # check names the failing stage and step.
+        grid = Grid(8)
+        pot = DoubleWell()
+        cfg = SchemeConfig(eps=0.01, kappa=pot.lipschitz, potential=pot,
+                           sigma=ConstantSigma(), scheme="ei2")
+        bad = SolverState(u=np.full((8, 8), 0.1), s=np.nan, step=4)
+        with pytest.raises(NumericFailure, match="after ei1 step") as exc:
+            step_ei2(grid, cfg, bad, 0.1)
         assert exc.value.step == 5
 
     def test_domain_error_raises_with_step(self):
