@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import AcflowError
 from .grid import Grid
-from .harness import InvariantViolation, RunConfig, converge, init_random, init_sine, run
+from .harness import RunConfig, converge, init_random, init_sine, run
 from .potentials import make_potential, make_sigma
 from .schemes import SchemeConfig
 from .timestep import AdaptiveStepping, UniformStepping
@@ -156,7 +156,7 @@ def main(argv=None) -> int:
         if args.command == "converge":
             return _cmd_converge(args)
         return _cmd_verify(args)
-    except (InvariantViolation, AcflowError) as exc:
+    except AcflowError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

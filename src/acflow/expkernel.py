@@ -51,8 +51,13 @@ class StabilizedOperator:
         self.grid = grid
         self.c = float(c)
         self.eps2 = float(eps2)
-        # Eigenvalues of L in the fast-transform layout; all >= c > 0.
-        self._eigs = self.c - self.eps2 * grid.multiplier_eigenvalues
+
+    def _eigenvalues(self) -> np.ndarray:
+        """A fresh array of the eigenvalues of L in the fast-transform
+        layout; all >= c > 0.  Built per call in one buffer, so an operator
+        holds no field between its construction and its single use."""
+        eigs = np.multiply(self.eps2, self.grid.multiplier_eigenvalues)
+        return np.subtract(self.c, eigs, out=eigs)
 
     def advance(self, tau: float, v: np.ndarray, nonlin: np.ndarray) -> np.ndarray:
         """e^{-tau L} v + tau * phi1(-tau L) nonlin with one inverse transform."""
@@ -64,7 +69,8 @@ class StabilizedOperator:
         start two stages from the same v transform it once."""
         if tau <= 0:
             raise ValueError(f"tau must be positive, got {tau}")
-        z = -tau * self._eigs
+        z = self._eigenvalues()
+        z *= -tau
         combined = self.grid.fast_forward(nonlin)
         combined *= tau
         combined *= phi1(z)
@@ -75,7 +81,10 @@ class StabilizedOperator:
         """(I + tau L)^{-1} v, the backward-Euler resolvent."""
         if tau <= 0:
             raise ValueError(f"tau must be positive, got {tau}")
-        return self.grid.apply_multiplier(v, 1.0 / (1.0 + tau * self._eigs))
+        mult = self._eigenvalues()
+        mult *= tau
+        mult += 1.0
+        return self.grid.apply_multiplier(v, np.divide(1.0, mult, out=mult))
 
     def dense_matrix(self) -> np.ndarray:
         """Explicit (M^2, M^2) matrix of L. Oracle only; refuses M > 16."""

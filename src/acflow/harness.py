@@ -3,12 +3,13 @@ and temporal convergence studies."""
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AcflowError
+from .errors import NumericFailure
 from .grid import Grid
 # total_energy and modified_energy stay importable from here: the rows add up
 # the same sums, and benchmarks/tracing.py wraps these names.
@@ -91,17 +92,79 @@ def _make_row(grid: Grid, cfg: SchemeConfig, state: SolverState,
     )
 
 
-def _write_snapshot(out_dir: str, state: SolverState):
-    path = os.path.join(out_dir, f"u_{state.step}.csv")
-    np.savetxt(path, state.u, delimiter=",", fmt="%.17g")
+# write_diagnostics and _write_snapshot do all of run()'s per-step file
+# output, so benchmarks/tracing.py can time it by wrapping these two names.
+def write_diagnostics(fh, row: DiagnosticsRow):
+    """Append one rendered row to an open diagnostics.csv."""
+    fh.write(row.render() + "\n")
 
 
-class InvariantViolation(AcflowError):
-    """Raised in checked runs when MBP or modified-energy monotonicity fails."""
+def _write_snapshot(out_dir: str, state: SolverState) -> str:
+    """Save state.u exactly as u_<step>.npy; returns the file name."""
+    name = f"u_{state.step}.npy"
+    np.save(os.path.join(out_dir, name), state.u, allow_pickle=False)
+    return name
+
+
+class InvariantViolation(NumericFailure):
+    """Raised in checked runs when MBP or modified-energy monotonicity fails;
+    ``row`` is the violating diagnostics row."""
 
     def __init__(self, message: str, row: DiagnosticsRow):
-        super().__init__(message)
+        super().__init__(message, step=row.step)
         self.row = row
+
+
+def _check_invariants(row: DiagnosticsRow, prev_modified: float, beta: float):
+    if row.sup_norm > beta + MBP_TOL:
+        raise InvariantViolation(
+            f"MBP violated: sup norm {row.sup_norm} > beta {beta}", row)
+    if row.modified_energy > prev_modified + ENERGY_TOL:
+        raise InvariantViolation(
+            f"modified energy increased: {prev_modified} -> {row.modified_energy}",
+            row)
+
+
+class _Output:
+    """What run() leaves in its output directory, if it has one:
+    diagnostics.csv, streamed a row at a time; snapshots u_<step>.npy; and,
+    when a step fails, failure.json beside the last good field."""
+
+    def __init__(self, out_dir: str | None, snapshot_every: int):
+        self.out_dir = out_dir
+        self.snapshot_every = snapshot_every if out_dir is not None else 0
+        self._csv = None
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            # Line-buffered, so each row is in the file once it is made.
+            self._csv = open(os.path.join(out_dir, "diagnostics.csv"), "w",
+                             buffering=1)
+            self._csv.write(DIAGNOSTICS_HEADER + "\n")
+
+    def row(self, row: DiagnosticsRow):
+        if self._csv is not None:
+            write_diagnostics(self._csv, row)
+
+    def snapshot(self, state: SolverState):
+        if self.snapshot_every and state.step % self.snapshot_every == 0:
+            _write_snapshot(self.out_dir, state)
+
+    def failure(self, exc: NumericFailure, state: SolverState,
+                row: DiagnosticsRow):
+        """Record a failed step after ``state``, the last good one (``row``)."""
+        if self.out_dir is None:
+            return
+        record = {"step": exc.step, "t": exc.t, "tau": exc.tau,
+                  "error": type(exc).__name__, "message": str(exc),
+                  "last_good_row": asdict(row),
+                  "field": _write_snapshot(self.out_dir, state)}
+        with open(os.path.join(self.out_dir, "failure.json"), "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
+
+    def close(self):
+        if self._csv is not None:
+            self._csv.close()
 
 
 def _fit_tail(stepping: AdaptiveStepping, t: float, t_end: float, tau: float,
@@ -122,8 +185,11 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
     """Step the configured scheme from t = 0 to t_end.
 
     Returns the final state and one diagnostics row per step (plus the t = 0
-    row).  When an output directory is set, writes diagnostics.csv and, if
-    requested, periodic field snapshots.
+    row).  When an output directory is set, streams diagnostics.csv and
+    writes the requested snapshots as it goes.  A failing step (a
+    ``NumericFailure``, ``InvariantViolation`` included) is given the step's
+    start time and size, leaves failure.json and the last good field in the
+    output directory, and is re-raised.
     """
     grid, scfg = cfg.grid, cfg.scheme
     state = initial_state(grid, scfg, u0)
@@ -131,56 +197,42 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
     adaptive = isinstance(cfg.stepping, AdaptiveStepping)
     beta = scfg.potential.beta
 
-    if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        if cfg.snapshot_every:
-            _write_snapshot(cfg.out_dir, state)
-
-    prev_energy = rows[0].energy
-    prev_tau = None
-    endpoint_slack = 1e-12 * max(1.0, cfg.t_end)
-    while state.t < cfg.t_end - endpoint_slack:
-        if adaptive:
-            if prev_tau is None:
-                tau = cfg.stepping.tau_min
+    out = _Output(cfg.out_dir, cfg.snapshot_every)
+    try:
+        out.row(rows[0])
+        out.snapshot(state)
+        prev_energy = rows[0].energy
+        prev_tau = None
+        endpoint_slack = 1e-12 * max(1.0, cfg.t_end)
+        while state.t < cfg.t_end - endpoint_slack:
+            if adaptive:
+                if prev_tau is None:
+                    tau = cfg.stepping.tau_min
+                else:
+                    tau = cfg.stepping.next_tau(prev_energy, rows[-1].energy, prev_tau)
+                tau = _fit_tail(cfg.stepping, state.t, cfg.t_end, tau, endpoint_slack)
             else:
-                tau = cfg.stepping.next_tau(prev_energy, rows[-1].energy, prev_tau)
-            tau = _fit_tail(cfg.stepping, state.t, cfg.t_end, tau, endpoint_slack)
-        else:
-            # Shorten the last step to land exactly on t_end.
-            tau = min(cfg.stepping.tau, cfg.t_end - state.t)
+                # Shorten the last step to land exactly on t_end.
+                tau = min(cfg.stepping.tau, cfg.t_end - state.t)
 
-        prev_energy = rows[-1].energy
-        prev_tau = tau
-        prev_modified = rows[-1].modified_energy
-        state = step(grid, scfg, state, tau)
-        row = _make_row(grid, scfg, state, tau)
-        rows.append(row)
-
-        if cfg.check_invariants:
-            if row.sup_norm > beta + MBP_TOL:
-                raise InvariantViolation(
-                    f"MBP violated at step {state.step}: "
-                    f"sup norm {row.sup_norm} > beta {beta}", row)
-            if row.modified_energy > prev_modified + ENERGY_TOL:
-                raise InvariantViolation(
-                    f"modified energy increased at step {state.step}: "
-                    f"{prev_modified} -> {row.modified_energy}", row)
-
-        if cfg.out_dir is not None and cfg.snapshot_every:
-            if state.step % cfg.snapshot_every == 0:
-                _write_snapshot(cfg.out_dir, state)
-
-    if cfg.out_dir is not None:
-        write_diagnostics(os.path.join(cfg.out_dir, "diagnostics.csv"), rows)
+            prev_energy = rows[-1].energy
+            prev_tau = tau
+            try:
+                new = step(grid, scfg, state, tau)
+                row = _make_row(grid, scfg, new, tau)
+                rows.append(row)
+                out.row(row)
+                if cfg.check_invariants:
+                    _check_invariants(row, rows[-2].modified_energy, beta)
+            except NumericFailure as exc:
+                exc.step, exc.t, exc.tau = state.step + 1, state.t, tau
+                out.failure(exc, state, rows[state.step])
+                raise
+            state = new
+            out.snapshot(state)
+    finally:
+        out.close()
     return state, rows
-
-
-def write_diagnostics(path: str, rows: list[DiagnosticsRow]):
-    with open(path, "w") as fh:
-        fh.write(DIAGNOSTICS_HEADER + "\n")
-        for row in rows:
-            fh.write(row.render() + "\n")
 
 
 def _check_divides(tau: float, t_end: float, label: str):

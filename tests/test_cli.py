@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from acflow.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from acflow.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from acflow.harness import DIAGNOSTICS_HEADER
 from acflow.verify import verify_suite
 
@@ -17,7 +17,7 @@ def test_run_writes_diagnostics(tmp_path, capsys):
     lines = (out / "diagnostics.csv").read_text().splitlines()
     assert lines[0] == DIAGNOSTICS_HEADER
     assert len(lines) == 1 + 6  # header, t=0 row, 5 steps
-    assert (out / "u_2.csv").exists()
+    assert (out / "u_2.npy").exists()
     assert "finished" in capsys.readouterr().out
 
 
@@ -32,6 +32,17 @@ def test_run_adaptive_flags(tmp_path):
     rows = (out / "diagnostics.csv").read_text().splitlines()[2:]
     taus = [float(r.split(",")[2]) for r in rows]
     assert all(0.001 * (1 - 1e-12) <= t <= 0.05 for t in taus)
+
+
+def test_numeric_failure_names_step_t_and_tau(capsys):
+    # kappa far below the Lipschitz bound: the first step leaves (-1, 1).
+    rc = main(["run", "--potential", "flory-huggins", "--boundary", "neumann",
+               "--kappa", "0.01", "--tau", "5", "--t-end", "5", "--init", "random",
+               "--seed", "1"])
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "step 1 " in err and "t=0.0 " in err and "tau=5.0:" in err
+    assert "Flory-Huggins evaluation outside (-1, 1)" in err
 
 
 def test_usage_error_exit_code():

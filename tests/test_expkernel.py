@@ -67,6 +67,23 @@ class TestSpectralKernels:
         split = op.advance(tau, v, zero) + op.advance(tau, zero, n)
         assert grid8.norm2(fused - split) <= 1e-13 * grid8.norm2(split)
 
+    def test_kernels_match_direct_formulas_bitwise(self, grid8):
+        # The operator builds its eigenvalues per call, in place; the
+        # arithmetic must stay that of the formulas.
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((8, 8))
+        n = rng.standard_normal((8, 8))
+        c, eps2, tau = 1.3, 3e-3, 0.21
+        eigs = c - eps2 * grid8.multiplier_eigenvalues
+        z = -tau * eigs
+        exact = grid8.fast_inverse(grid8.fast_forward(n) * tau * phi1(z)
+                                   + grid8.fast_forward(v) * np.exp(z))
+        resolvent = grid8.apply_multiplier(v, 1.0 / (1.0 + tau * eigs))
+        op = StabilizedOperator(grid8, c, eps2)
+        for _ in range(2):  # nothing the first call computes is reused
+            assert op.advance(tau, v, n).tobytes() == exact.tobytes()
+            assert op.solve_shifted(tau, v).tobytes() == resolvent.tobytes()
+
     def test_rejects_nonpositive_coefficient(self):
         with pytest.raises(ValueError):
             StabilizedOperator(Grid(8), 0.0, 1e-4)

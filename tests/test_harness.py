@@ -1,12 +1,15 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
 from acflow import harness
+from acflow.errors import NumericFailure
 from acflow.grid import Grid
 from acflow.harness import (
     DIAGNOSTICS_HEADER,
+    InvariantViolation,
     RunConfig,
     converge,
     init_random,
@@ -183,7 +186,7 @@ class TestRun:
         csv = (out / "diagnostics.csv").read_text().splitlines()
         assert csv[0] == DIAGNOSTICS_HEADER
         assert len(csv) == 1 + 5  # header + initial row + 4 steps
-        snap = np.loadtxt(out / "u_2.csv", delimiter=",")
+        snap = np.load(out / "u_2.npy")
         assert snap.shape == (16, 16)
 
     def test_diagnostics_bitwise_deterministic(self, tmp_path):
@@ -197,6 +200,97 @@ class TestRun:
             run(init_random(grid, -0.8, 0.8, 9), cfg)
             paths.append(out / "diagnostics.csv")
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _recorded_run(monkeypatch, out, n_steps=6, fail_at=None,
+                  check_invariants=False):
+    """An ei2 run of n_steps into ``out`` that records every state it steps to.
+    ``fail_at(state)`` may replace the state a step returns, or raise."""
+    states = []
+    original = harness.step
+
+    def recording(*args):
+        state = original(*args)
+        if fail_at is not None:
+            state = fail_at(state)
+        states.append(state)
+        return state
+
+    monkeypatch.setattr(harness, "step", recording)
+    grid = Grid(16)
+    cfg = RunConfig(grid=grid, scheme=dw_config("ei2"), stepping=UniformStepping(0.1),
+                    t_end=0.1 * n_steps, out_dir=str(out), snapshot_every=2,
+                    check_invariants=check_invariants)
+    u0 = init_random(grid, -0.8, 0.8, 4)
+    return u0, cfg, states
+
+
+class TestOutputFiles:
+    def test_success_writes_rows_and_exact_snapshots(self, monkeypatch, tmp_path):
+        out = tmp_path / "traj"
+        u0, cfg, states = _recorded_run(monkeypatch, out, n_steps=7)
+        _, rows = run(u0, cfg)
+        assert sorted(os.listdir(out)) == sorted(
+            ["diagnostics.csv", "u_0.npy", "u_2.npy", "u_4.npy", "u_6.npy"])
+        assert (out / "diagnostics.csv").read_text() == "".join(
+            line + "\n" for line in [DIAGNOSTICS_HEADER] + [r.render() for r in rows])
+        fields = {0: u0, **{s.step: s.u for s in states}}
+        for k in (0, 2, 4, 6):
+            snap = np.load(out / f"u_{k}.npy", allow_pickle=False)
+            assert snap.dtype == np.float64 and snap.shape == (16, 16)
+            assert snap.tobytes() == fields[k].tobytes()
+
+    def test_failed_step_leaves_record(self, monkeypatch, tmp_path):
+        def fail_at_3(state):
+            if state.step == 3:
+                raise NumericFailure("injected", step=3)
+            return state
+
+        out = tmp_path / "traj"
+        u0, cfg, states = _recorded_run(monkeypatch, out, fail_at=fail_at_3)
+        with pytest.raises(NumericFailure) as info:
+            run(u0, cfg)
+        exc = info.value
+        assert type(exc) is NumericFailure
+        assert (exc.step, exc.t, exc.tau) == (3, states[-1].t, 0.1)
+        assert str(exc) == f"step 3 from t={states[-1].t!r} with tau=0.1: injected"
+
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        assert lines[0] == DIAGNOSTICS_HEADER
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 1, 2]
+        record = json.loads((out / "failure.json").read_text())
+        assert record["step"] == 3
+        assert record["t"] == states[-1].t
+        assert record["tau"] == 0.1
+        assert record["error"] == "NumericFailure"
+        assert record["message"] == str(exc)
+        last = record["last_good_row"]
+        assert last["step"] == 2
+        assert harness.DiagnosticsRow(**last).render() == lines[-1]
+        field = np.load(out / record["field"], allow_pickle=False)
+        assert states[-1].step == 2
+        assert field.tobytes() == states[-1].u.tobytes()
+
+    def test_invariant_violation_leaves_record(self, monkeypatch, tmp_path):
+        def break_mbp_at_3(state):
+            if state.step == 3:
+                state.u = state.u + 2.0
+            return state
+
+        out = tmp_path / "traj"
+        u0, cfg, states = _recorded_run(monkeypatch, out, fail_at=break_mbp_at_3,
+                                        check_invariants=True)
+        with pytest.raises(InvariantViolation, match=r"^step 3 from t=.* with "
+                           r"tau=0\.1: MBP violated") as info:
+            run(u0, cfg)
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 1, 2, 3]
+        assert lines[-1] == info.value.row.render()
+        record = json.loads((out / "failure.json").read_text())
+        assert (record["step"], record["error"]) == (3, "InvariantViolation")
+        assert harness.DiagnosticsRow(**record["last_good_row"]).render() == lines[-2]
+        field = np.load(out / record["field"], allow_pickle=False)
+        assert field.tobytes() == states[1].u.tobytes()  # the step-2 state
 
 
 class TestConverge:
