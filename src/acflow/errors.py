@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its positive-parameter rule."""
+
+import math
+
+
+def positive(name: str, value) -> float:
+    """``value`` as a float; a ``ValueError`` unless it is finite and > 0."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return float(value)
 
 
 class AcflowError(Exception):

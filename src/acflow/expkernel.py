@@ -9,34 +9,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import positive
 from .grid import Grid, dense_laplacian
-
-_PHI1_SERIES_CUTOFF = 1e-5
 
 
 def phi1(z):
-    """phi1(z) = (e^z - 1)/z with the removable singularity filled in.
+    """phi1(z) = (e^z - 1)/z with the removable singularity phi1(0) = 1.
 
-    Below |z| = 1e-5 an 8-term Taylor series is used; its truncation error
-    there is ~1e-45, far under double roundoff.
+    The quotient expm1(z)/z is accurate to an ulp or so for every nonzero z,
+    however small, so only z == 0 needs a guard.
     """
     z = np.asarray(z, dtype=float)
-    small = np.abs(z) < _PHI1_SERIES_CUTOFF
-    if not np.any(small):  # no z == 0 either: divide without the guard
+    zero = z == 0.0
+    if not zero.any():  # divide without the guard's extra passes
         out = np.expm1(z)
         out /= z
     else:
-        out = np.expm1(z) / np.where(z == 0.0, 1.0, z)
-        zs = z[small] if out.ndim else z
-        series = np.zeros_like(zs)
-        term = np.ones_like(zs)
-        for k in range(1, 9):  # 1/k! * z^(k-1), k = 1..8
-            series = series + term
-            term = term * zs / (k + 1)
-        if out.ndim:
-            out[small] = series
-        else:
-            out = series
+        out = np.where(zero, 1.0, np.expm1(z) / np.where(zero, 1.0, z))
     return out if out.ndim else float(out)
 
 
@@ -44,13 +33,9 @@ class StabilizedOperator:
     """L = c I - eps^2 Lap_h with c > 0; symmetric positive definite."""
 
     def __init__(self, grid: Grid, c: float, eps2: float):
-        if c <= 0:
-            raise ValueError(f"stabilization coefficient must be positive, got {c}")
-        if eps2 <= 0:
-            raise ValueError(f"eps^2 must be positive, got {eps2}")
         self.grid = grid
-        self.c = float(c)
-        self.eps2 = float(eps2)
+        self.c = positive("stabilization coefficient", c)
+        self.eps2 = positive("eps^2", eps2)
 
     def _eigenvalues(self) -> np.ndarray:
         """A fresh array of the eigenvalues of L in the fast-transform
@@ -67,10 +52,8 @@ class StabilizedOperator:
                          nonlin: np.ndarray) -> np.ndarray:
         """``advance`` given v_hat = ``grid.fast_forward(v)``, so steps that
         start two stages from the same v transform it once."""
-        if tau <= 0:
-            raise ValueError(f"tau must be positive, got {tau}")
         z = self._eigenvalues()
-        z *= -tau
+        z *= -positive("tau", tau)
         combined = self.grid.fast_forward(nonlin)
         combined *= tau
         combined *= phi1(z)
@@ -79,10 +62,8 @@ class StabilizedOperator:
 
     def solve_shifted(self, tau: float, v: np.ndarray) -> np.ndarray:
         """(I + tau L)^{-1} v, the backward-Euler resolvent."""
-        if tau <= 0:
-            raise ValueError(f"tau must be positive, got {tau}")
         mult = self._eigenvalues()
-        mult *= tau
+        mult *= positive("tau", tau)
         mult += 1.0
         return self.grid.apply_multiplier(v, np.divide(1.0, mult, out=mult))
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 
+from .errors import positive
+
 PERIODIC = "periodic"
 NEUMANN = "neumann"
 
@@ -22,12 +24,10 @@ class Grid:
     def __init__(self, m: int, length: float = 1.0, boundary: str = PERIODIC):
         if m < 2:
             raise ValueError(f"need at least 2 points per dimension, got M={m}")
-        if length <= 0:
-            raise ValueError(f"domain side length must be positive, got {length}")
         if boundary not in (PERIODIC, NEUMANN):
             raise ValueError(f"unknown boundary {boundary!r}")
         self.m = int(m)
-        self.length = float(length)
+        self.length = positive("domain side length", length)
         self.boundary = boundary
         # L and M are stored; h is derived so h*M == L exactly.
         self.h = self.length / self.m

@@ -9,13 +9,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NumericFailure
+from .errors import NumericFailure, positive
 from .grid import Grid
-# total_energy and modified_energy stay importable from here: the rows add up
-# the same sums, and benchmarks/tracing.py wraps these names.
-from .potentials import interface_energy, modified_energy, total_energy  # noqa: F401
+from .potentials import interface_energy
 from .schemes import (SchemeConfig, SolverState, initial_state, reference_solution,
-                      state_bulk_energy, step)
+                      state_bulk_energy, step, steps_to)
 from .timestep import AdaptiveStepping, UniformStepping
 
 DIAGNOSTICS_HEADER = "step,t,tau,sup_norm,energy,modified_energy,s,g"
@@ -52,8 +50,7 @@ class RunConfig:
     check_invariants: bool = False
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        positive("t_end", self.t_end)
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be nonnegative")
 
@@ -125,46 +122,16 @@ def _check_invariants(row: DiagnosticsRow, prev_modified: float, beta: float):
             row)
 
 
-class _Output:
-    """What run() leaves in its output directory, if it has one:
-    diagnostics.csv, streamed a row at a time; snapshots u_<step>.npy; and,
-    when a step fails, failure.json beside the last good field."""
-
-    def __init__(self, out_dir: str | None, snapshot_every: int):
-        self.out_dir = out_dir
-        self.snapshot_every = snapshot_every if out_dir is not None else 0
-        self._csv = None
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            # Line-buffered, so each row is in the file once it is made.
-            self._csv = open(os.path.join(out_dir, "diagnostics.csv"), "w",
-                             buffering=1)
-            self._csv.write(DIAGNOSTICS_HEADER + "\n")
-
-    def row(self, row: DiagnosticsRow):
-        if self._csv is not None:
-            write_diagnostics(self._csv, row)
-
-    def snapshot(self, state: SolverState):
-        if self.snapshot_every and state.step % self.snapshot_every == 0:
-            _write_snapshot(self.out_dir, state)
-
-    def failure(self, exc: NumericFailure, state: SolverState,
-                row: DiagnosticsRow):
-        """Record a failed step after ``state``, the last good one (``row``)."""
-        if self.out_dir is None:
-            return
-        record = {"step": exc.step, "t": exc.t, "tau": exc.tau,
-                  "error": type(exc).__name__, "message": str(exc),
-                  "last_good_row": asdict(row),
-                  "field": _write_snapshot(self.out_dir, state)}
-        with open(os.path.join(self.out_dir, "failure.json"), "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
-
-    def close(self):
-        if self._csv is not None:
-            self._csv.close()
+def _write_failure(out_dir: str, exc: NumericFailure, state: SolverState,
+                   row: DiagnosticsRow):
+    """Write failure.json and the field of ``state``, the last good one (``row``)."""
+    record = {"step": exc.step, "t": exc.t, "tau": exc.tau,
+              "error": type(exc).__name__, "message": str(exc),
+              "last_good_row": asdict(row),
+              "field": _write_snapshot(out_dir, state)}
+    with open(os.path.join(out_dir, "failure.json"), "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
 
 
 def _fit_tail(stepping: AdaptiveStepping, t: float, t_end: float, tau: float,
@@ -189,65 +156,65 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
     writes the requested snapshots as it goes.  A failing step (a
     ``NumericFailure``, ``InvariantViolation`` included) is given the step's
     start time and size, leaves failure.json and the last good field in the
-    output directory, and is re-raised.
+    output directory, and is re-raised.  With ``check_invariants`` on, initial
+    data outside [-beta, beta] is a ``ValueError``.
     """
-    grid, scfg = cfg.grid, cfg.scheme
+    grid, scfg, stepping, out_dir = cfg.grid, cfg.scheme, cfg.stepping, cfg.out_dir
     state = initial_state(grid, scfg, u0)
     rows = [_make_row(grid, scfg, state, 0.0)]
-    adaptive = isinstance(cfg.stepping, AdaptiveStepping)
     beta = scfg.potential.beta
+    if cfg.check_invariants and rows[0].sup_norm > beta + MBP_TOL:
+        raise ValueError(f"initial data exceeds the bound beta={beta}: "
+                         f"sup norm {rows[0].sup_norm}")
 
-    out = _Output(cfg.out_dir, cfg.snapshot_every)
+    csv, every = None, 0
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        # Line-buffered, so each row is in the file once it is made.
+        csv = open(os.path.join(out_dir, "diagnostics.csv"), "w", buffering=1)
+        csv.write(DIAGNOSTICS_HEADER + "\n")
+        write_diagnostics(csv, rows[0])
+        every = cfg.snapshot_every
     try:
-        out.row(rows[0])
-        out.snapshot(state)
-        prev_energy = rows[0].energy
-        prev_tau = None
+        if every:
+            _write_snapshot(out_dir, state)
         endpoint_slack = 1e-12 * max(1.0, cfg.t_end)
         while state.t < cfg.t_end - endpoint_slack:
-            if adaptive:
-                if prev_tau is None:
-                    tau = cfg.stepping.tau_min
-                else:
-                    tau = cfg.stepping.next_tau(prev_energy, rows[-1].energy, prev_tau)
-                tau = _fit_tail(cfg.stepping, state.t, cfg.t_end, tau, endpoint_slack)
+            if isinstance(stepping, AdaptiveStepping):
+                tau = stepping.tau_min if state.step == 0 else stepping.next_tau(
+                    rows[-2].energy, rows[-1].energy, rows[-1].tau)
+                tau = _fit_tail(stepping, state.t, cfg.t_end, tau, endpoint_slack)
             else:
                 # Shorten the last step to land exactly on t_end.
-                tau = min(cfg.stepping.tau, cfg.t_end - state.t)
-
-            prev_energy = rows[-1].energy
-            prev_tau = tau
+                tau = min(stepping.tau, cfg.t_end - state.t)
             try:
                 new = step(grid, scfg, state, tau)
                 row = _make_row(grid, scfg, new, tau)
                 rows.append(row)
-                out.row(row)
+                if csv is not None:
+                    write_diagnostics(csv, row)
                 if cfg.check_invariants:
                     _check_invariants(row, rows[-2].modified_energy, beta)
             except NumericFailure as exc:
                 exc.step, exc.t, exc.tau = state.step + 1, state.t, tau
-                out.failure(exc, state, rows[state.step])
+                if out_dir is not None:
+                    _write_failure(out_dir, exc, state, rows[state.step])
                 raise
             state = new
-            out.snapshot(state)
+            if every and state.step % every == 0:
+                _write_snapshot(out_dir, state)
     finally:
-        out.close()
+        if csv is not None:
+            csv.close()
     return state, rows
-
-
-def _check_divides(tau: float, t_end: float, label: str):
-    n = round(t_end / tau)
-    if n < 1 or abs(n * tau - t_end) > 1e-12 * max(1.0, t_end):
-        raise ValueError(f"{label}={tau} does not divide t_end={t_end}")
 
 
 def converge(grid: Grid, scfg: SchemeConfig, u0: np.ndarray, t_end: float,
              taus: list[float], tau_ref: float) -> dict:
     """L2 errors at t_end against a fine-step reference, plus the fitted
     log-log slope of error versus step size."""
-    for tau in taus:
-        _check_divides(tau, t_end, "tau")
-    _check_divides(tau_ref, t_end, "tau_ref")
+    t_end = positive("t_end", t_end)
+    n_steps = {tau: steps_to(t_end, tau, "tau") for tau in taus}
     if tau_ref > min(taus) / 32:
         raise ValueError(
             f"tau_ref={tau_ref} too coarse; need <= min(taus)/32 = {min(taus) / 32}")
@@ -256,7 +223,7 @@ def converge(grid: Grid, scfg: SchemeConfig, u0: np.ndarray, t_end: float,
     entries = []
     for tau in sorted(taus, reverse=True):
         state = initial_state(grid, scfg, u0)
-        for _ in range(round(t_end / tau)):
+        for _ in range(n_steps[tau]):
             state = step(grid, scfg, state, tau)
         diff = state.u - ref.u
         entries.append({

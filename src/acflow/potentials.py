@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainBoundError, NumericRangeError
+from .errors import DomainBoundError, NumericRangeError, positive
 from .grid import Grid
 
 
@@ -118,9 +118,7 @@ class ExpSigma:
     name = "exp"
 
     def __init__(self, a: float = 1.0):
-        if a <= 0:
-            raise ValueError(f"exp sigma rate must be positive, got {a}")
-        self.a = float(a)
+        self.a = positive("exp sigma rate a", a)
 
     def ratio(self, r: float, e1: float) -> float:
         # Evaluated as exp(a*(r - e1)) so O(1) arguments with large a never

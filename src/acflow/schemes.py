@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainBoundError, NumericFailure, NumericRangeError
+from .errors import DomainBoundError, NumericFailure, NumericRangeError, positive
 from .expkernel import StabilizedOperator
 from .grid import Grid
 from .potentials import bulk_energy
@@ -34,10 +34,8 @@ class SchemeConfig:
     scheme: str = EI1
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        positive("eps", self.eps)
+        positive("kappa", self.kappa)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -85,15 +83,14 @@ def _check_finite(u: np.ndarray, s: float, label: str, step: int):
 
 def _stepper(label: str):
     """Turn a step body ``(grid, cfg, state, tau) -> (u, s, g)`` into a
-    stepper: reject tau <= 0, give range and domain errors the failing step,
-    check the result is finite and fill in its bulk energy.  The body's
-    fields are released before that energy is evaluated."""
+    stepper: require a finite positive tau, give range and domain errors the
+    failing step, check the result is finite and fill in its bulk energy.
+    The body's fields are released before that energy is evaluated."""
 
     def decorate(body):
         @functools.wraps(body)
         def wrapper(grid, cfg, state, tau):
-            if tau <= 0:
-                raise ValueError(f"tau must be positive, got {tau}")
+            positive("tau", tau)
             n = state.step + 1
             try:
                 u_new, s_new, g = body(grid, cfg, state, tau)
@@ -166,6 +163,16 @@ def step(grid: Grid, cfg: SchemeConfig, state: SolverState,
     return _STEPPERS[cfg.scheme](grid, cfg, state, tau)
 
 
+def steps_to(t_end: float, tau: float, label: str) -> int:
+    """The number of steps of size tau (named ``label``) from t = 0 to t_end;
+    a ValueError unless tau is finite and positive and the count whole."""
+    n = t_end / positive(label, tau)
+    if not 0 <= n < np.inf or abs(round(n) * tau - t_end) > 1e-12 * max(1.0, t_end):
+        raise ValueError(f"t_end={t_end} is not a whole number of steps "
+                         f"of {label}={tau}")
+    return round(n)
+
+
 def reference_solution(grid: Grid, cfg: SchemeConfig, u0: np.ndarray,
                        t_end: float, tau_ref: float) -> SolverState:
     """Ground-truth generator: ei2 at a fine uniform step.
@@ -173,11 +180,7 @@ def reference_solution(grid: Grid, cfg: SchemeConfig, u0: np.ndarray,
     Intended for convergence studies with tau_ref well below the sweep's
     smallest step (a factor of 32 or more).
     """
-    if t_end < 0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end}")
-    n_steps = round(t_end / tau_ref) if t_end > 0 else 0
-    if t_end > 0 and abs(n_steps * tau_ref - t_end) > 1e-12 * max(1.0, t_end):
-        raise ValueError(f"tau_ref={tau_ref} does not divide t_end={t_end}")
+    n_steps = steps_to(t_end, tau_ref, "tau_ref")
     state = initial_state(grid, cfg, u0)
     for _ in range(n_steps):
         state = step_ei2(grid, cfg, state, tau_ref)

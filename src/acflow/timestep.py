@@ -6,14 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import positive
+
 
 @dataclass
 class UniformStepping:
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        positive("tau", self.tau)
 
 
 @dataclass
@@ -31,15 +32,12 @@ class AdaptiveStepping:
     alpha: float
 
     def __post_init__(self):
-        if not (0 < self.tau_min <= self.tau_max):
+        if positive("tau_min", self.tau_min) > positive("tau_max", self.tau_max):
             raise ValueError(
-                f"need 0 < tau_min <= tau_max, got {self.tau_min}, {self.tau_max}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+                f"need tau_min <= tau_max, got {self.tau_min}, {self.tau_max}")
+        positive("alpha", self.alpha)
 
     def next_tau(self, e_prev: float, e_curr: float, tau_prev: float) -> float:
-        if tau_prev <= 0:
-            raise ValueError(f"tau_prev must be positive, got {tau_prev}")
-        rate = (e_curr - e_prev) / tau_prev
+        rate = (e_curr - e_prev) / positive("tau_prev", tau_prev)
         tau = self.tau_max / np.sqrt(1.0 + self.alpha * rate * rate)
         return float(max(self.tau_min, tau))

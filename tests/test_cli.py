@@ -50,6 +50,30 @@ def test_usage_error_exit_code():
     assert main(["converge", "--taus", "", "--tau-ref", "0.001"]) == EXIT_USAGE
 
 
+SMALL = {"run": ["run", "--grid-m", "16", "--t-end", "0.1"],
+         "converge": ["converge", "--grid-m", "16", "--t-end", "1",
+                      "--taus", "0.5,0.25", "--tau-ref", "0.0078125"]}
+
+
+@pytest.mark.parametrize("args, name", [
+    ("run --t-end nan", "t_end"),
+    ("converge --taus 0,0.25", "tau"),
+    ("converge --tau-ref 0", "tau_ref"),
+    ("converge --t-end inf", "t_end"),
+    ("run --tau nan", "tau"),
+    ("run --eps nan", "eps"),
+    ("run --kappa nan", "kappa"),
+    ("run --sigma-a nan", "exp sigma rate a"),
+    ("run --grid-l nan", "domain side length"),
+    ("run --adaptive --alpha nan", "alpha"),
+])
+def test_parameter_must_be_finite_and_positive(args, name, capsys):
+    # A later flag overrides the small set-up's value of the same flag.
+    command, *flags = args.split()
+    assert main(SMALL[command] + flags) == EXIT_USAGE
+    assert f"usage error: {name} must be finite and positive" in capsys.readouterr().err
+
+
 def test_initial_data_exceeding_beta_is_usage_error():
     rc = main(["run", "--grid-m", "16", "--potential", "flory-huggins",
                "--init", "random", "--lo", "-1.5", "--hi", "1.5",

@@ -177,6 +177,16 @@ class TestRun:
         with pytest.raises(ValueError, match=r"t=0\.0 .*tau_min=0\.1.*tau_max=0\.3"):
             run(init_random(grid, -0.8, 0.8, 1), cfg)
 
+    def test_checked_run_rejects_initial_data_beyond_beta(self, tmp_path):
+        grid = Grid(16)
+        out = tmp_path / "traj"
+        cfg = RunConfig(grid=grid, scheme=dw_config(), stepping=UniformStepping(0.1),
+                        t_end=0.2, out_dir=str(out), check_invariants=True)
+        with pytest.raises(ValueError, match=r"^initial data exceeds the bound "
+                           r"beta=1\.0: sup norm 1\.3"):
+            run(init_sine(grid, 1.3), cfg)
+        assert not out.exists()
+
     def test_output_files(self, tmp_path):
         grid = Grid(16)
         out = tmp_path / "traj"
