@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -14,9 +14,6 @@ from .grid import Grid
 from .potentials import interface_energy
 from .schemes import (SchemeConfig, SolverState, initial_state, reference_solution,
                       state_bulk_energy, step, steps_to)
-from .timestep import AdaptiveStepping, UniformStepping
-
-DIAGNOSTICS_HEADER = "step,t,tau,sup_norm,energy,modified_energy,s,g"
 
 # Tolerances for the per-step invariant checks (run with check_invariants on).
 MBP_TOL = 1e-12
@@ -43,7 +40,7 @@ def init_random(grid: Grid, lo: float, hi: float, seed: int) -> np.ndarray:
 class RunConfig:
     grid: Grid
     scheme: SchemeConfig
-    stepping: object  # UniformStepping or AdaptiveStepping
+    stepping: object  # a timestep policy: next_step(t, t_end, rows)
     t_end: float
     out_dir: str | None = None
     snapshot_every: int = 0
@@ -67,9 +64,10 @@ class DiagnosticsRow:
     g: float
 
     def render(self) -> str:
-        vals = (self.t, self.tau, self.sup_norm, self.energy,
-                self.modified_energy, self.s, self.g)
-        return f"{self.step}," + ",".join(f"{v:.17g}" for v in vals)
+        return ",".join(format(getattr(self, f.name), ".17g") for f in fields(self))
+
+
+DIAGNOSTICS_HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
 
 
 def _make_row(grid: Grid, cfg: SchemeConfig, state: SolverState,
@@ -104,15 +102,17 @@ def _write_snapshot(out_dir: str, state: SolverState) -> str:
 
 
 class InvariantViolation(NumericFailure):
-    """Raised in checked runs when MBP or modified-energy monotonicity fails;
-    ``row`` is the violating diagnostics row."""
+    """Raised in checked runs when MBP, modified-energy monotonicity or the
+    bound s <= E(u0) fails; ``row`` is the violating diagnostics row."""
 
     def __init__(self, message: str, row: DiagnosticsRow):
         super().__init__(message, step=row.step)
         self.row = row
 
 
-def _check_invariants(row: DiagnosticsRow, prev_modified: float, beta: float):
+def _check_invariants(rows: list[DiagnosticsRow], beta: float):
+    """Check rows[-1] against beta, rows[-2] and E(u0) = rows[0].energy."""
+    row, prev_modified, e0 = rows[-1], rows[-2].modified_energy, rows[0].energy
     if row.sup_norm > beta + MBP_TOL:
         raise InvariantViolation(
             f"MBP violated: sup norm {row.sup_norm} > beta {beta}", row)
@@ -120,6 +120,9 @@ def _check_invariants(row: DiagnosticsRow, prev_modified: float, beta: float):
         raise InvariantViolation(
             f"modified energy increased: {prev_modified} -> {row.modified_energy}",
             row)
+    if row.s > e0 + ENERGY_TOL:
+        raise InvariantViolation(
+            f"auxiliary variable s={row.s} exceeds E(u0)={e0}", row)
 
 
 def _write_failure(out_dir: str, exc: NumericFailure, state: SolverState,
@@ -132,20 +135,6 @@ def _write_failure(out_dir: str, exc: NumericFailure, state: SolverState,
     with open(os.path.join(out_dir, "failure.json"), "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
-
-
-def _fit_tail(stepping: AdaptiveStepping, t: float, t_end: float, tau: float,
-              slack: float) -> float:
-    """Clip an adaptive step to t_end; a tail shorter than tau_min is merged
-    into this step if that fits under tau_max, else split into two equal steps."""
-    remainder = t_end - t
-    if remainder - tau >= stepping.tau_min or abs(remainder - tau) <= slack:
-        return min(tau, remainder)
-    for pieces in (1, 2):
-        if stepping.tau_min <= remainder / pieces <= stepping.tau_max:
-            return remainder / pieces
-    raise ValueError(f"cannot reach t_end={t_end} from t={t} with steps in "
-                     f"[tau_min={stepping.tau_min}, tau_max={stepping.tau_max}]")
 
 
 def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRow]]:
@@ -178,15 +167,7 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
     try:
         if every:
             _write_snapshot(out_dir, state)
-        endpoint_slack = 1e-12 * max(1.0, cfg.t_end)
-        while state.t < cfg.t_end - endpoint_slack:
-            if isinstance(stepping, AdaptiveStepping):
-                tau = stepping.tau_min if state.step == 0 else stepping.next_tau(
-                    rows[-2].energy, rows[-1].energy, rows[-1].tau)
-                tau = _fit_tail(stepping, state.t, cfg.t_end, tau, endpoint_slack)
-            else:
-                # Shorten the last step to land exactly on t_end.
-                tau = min(stepping.tau, cfg.t_end - state.t)
+        while (tau := stepping.next_step(state.t, cfg.t_end, rows)) is not None:
             try:
                 new = step(grid, scfg, state, tau)
                 row = _make_row(grid, scfg, new, tau)
@@ -194,7 +175,7 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
                 if csv is not None:
                     write_diagnostics(csv, row)
                 if cfg.check_invariants:
-                    _check_invariants(row, rows[-2].modified_energy, beta)
+                    _check_invariants(rows, beta)
             except NumericFailure as exc:
                 exc.step, exc.t, exc.tau = state.step + 1, state.t, tau
                 if out_dir is not None:
@@ -215,13 +196,15 @@ def converge(grid: Grid, scfg: SchemeConfig, u0: np.ndarray, t_end: float,
     log-log slope of error versus step size."""
     t_end = positive("t_end", t_end)
     n_steps = {tau: steps_to(t_end, tau, "tau") for tau in taus}
+    if len(n_steps) < 2:
+        raise ValueError(f"need at least two distinct step sizes, got {taus}")
     if tau_ref > min(taus) / 32:
         raise ValueError(
             f"tau_ref={tau_ref} too coarse; need <= min(taus)/32 = {min(taus) / 32}")
 
     ref = reference_solution(grid, scfg, u0, t_end, tau_ref)
     entries = []
-    for tau in sorted(taus, reverse=True):
+    for tau in sorted(n_steps, reverse=True):
         state = initial_state(grid, scfg, u0)
         for _ in range(n_steps[tau]):
             state = step(grid, scfg, state, tau)

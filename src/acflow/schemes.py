@@ -18,6 +18,7 @@ from .errors import DomainBoundError, NumericFailure, NumericRangeError, positiv
 from .expkernel import StabilizedOperator
 from .grid import Grid
 from .potentials import bulk_energy
+from .timestep import steps_to
 
 EI1 = "ei1"
 EI2 = "ei2"
@@ -161,16 +162,6 @@ _STEPPERS = {EI1: step_ei1, EI2: step_ei2, STAB1: step_stab1}
 def step(grid: Grid, cfg: SchemeConfig, state: SolverState,
          tau: float) -> SolverState:
     return _STEPPERS[cfg.scheme](grid, cfg, state, tau)
-
-
-def steps_to(t_end: float, tau: float, label: str) -> int:
-    """The number of steps of size tau (named ``label``) from t = 0 to t_end;
-    a ValueError unless tau is finite and positive and the count whole."""
-    n = t_end / positive(label, tau)
-    if not 0 <= n < np.inf or abs(round(n) * tau - t_end) > 1e-12 * max(1.0, t_end):
-        raise ValueError(f"t_end={t_end} is not a whole number of steps "
-                         f"of {label}={tau}")
-    return round(n)
 
 
 def reference_solution(grid: Grid, cfg: SchemeConfig, u0: np.ndarray,

@@ -74,6 +74,14 @@ def test_parameter_must_be_finite_and_positive(args, name, capsys):
     assert f"usage error: {name} must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("taus", ["0.25", "0.25,0.25"])
+def test_converge_needs_two_distinct_taus(taus, capsys):
+    # One distinct step size leaves no slope to fit.
+    assert main(SMALL["converge"] + ["--taus", taus]) == EXIT_USAGE
+    assert ("usage error: need at least two distinct step sizes"
+            in capsys.readouterr().err)
+
+
 def test_initial_data_exceeding_beta_is_usage_error():
     rc = main(["run", "--grid-m", "16", "--potential", "flory-huggins",
                "--init", "random", "--lo", "-1.5", "--hi", "1.5",

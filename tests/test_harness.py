@@ -303,6 +303,32 @@ class TestOutputFiles:
         assert field.tobytes() == states[1].u.tobytes()  # the step-2 state
 
 
+    def test_auxiliary_bound_violation_leaves_record(self, monkeypatch, tmp_path):
+        # From a pure state (E(u0) = 0) s creeps up by 4e-11 a step: each rise
+        # of the modified energy is within ENERGY_TOL, but at step 3 s exceeds
+        # E(u0) + ENERGY_TOL.
+        original = harness.step
+
+        def creeping(*args):
+            state = original(*args)
+            state.s = 4e-11 * state.step
+            return state
+
+        monkeypatch.setattr(harness, "step", creeping)
+        out = tmp_path / "traj"
+        cfg = RunConfig(grid=Grid(16), scheme=dw_config("ei2"),
+                        stepping=UniformStepping(0.1), t_end=0.6, out_dir=str(out),
+                        check_invariants=True)
+        with pytest.raises(InvariantViolation, match=r"^step 3 from t=.* with "
+                           r"tau=0\.1: auxiliary variable s=1\.2.* exceeds "
+                           r"E\(u0\)=0\.0$"):
+            run(np.ones((16, 16)), cfg)
+        record = json.loads((out / "failure.json").read_text())
+        assert (record["step"], record["error"]) == (3, "InvariantViolation")
+        assert record["last_good_row"]["step"] == 2
+        assert (out / record["field"]).exists()
+
+
 class TestConverge:
     def test_errors_decrease_and_slope(self):
         grid = Grid(32)

@@ -43,3 +43,25 @@ class TestAdaptiveFormula:
 def test_uniform_rejects_nonpositive():
     with pytest.raises(ValueError):
         UniformStepping(0.0)
+
+
+def _march(stepping, t_end):
+    """The steps a policy takes from t = 0 to t_end, with t summed as run()
+    sums it."""
+    t, rows, taus = 0.0, [None], []
+    while (tau := stepping.next_step(t, t_end, rows)) is not None:
+        t += tau
+        rows.append(None)
+        taus.append(tau)
+    return taus
+
+
+# Summing t rounds: 100,000 steps of 0.003 sum to 8e-10 short of 300, so a
+# policy that compared t with t_end would add a 100,001st step of 8e-10.
+@pytest.mark.parametrize("tau, t_end, expected", [
+    (0.003, 300.0, [0.003] * 100_000),
+    (1e-4, 20.0, [1e-4] * 200_000),
+    (0.4, 1.0, pytest.approx([0.4, 0.4, 0.2], rel=1e-12)),
+], ids=["0.003-to-300", "1e-4-to-20", "clipped-last-step"])
+def test_uniform_steps_are_counted(tau, t_end, expected):
+    assert _march(UniformStepping(tau), t_end) == expected
