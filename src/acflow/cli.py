@@ -14,11 +14,12 @@ import sys
 import numpy as np
 
 from .errors import AcflowError
-from .grid import Grid
+from .grid import BOUNDARIES, Grid
 from .harness import RunConfig, converge, init_random, init_sine, run
 from .potentials import make_potential, make_sigma
-from .schemes import SchemeConfig
+from .schemes import SCHEMES, SchemeConfig
 from .timestep import AdaptiveStepping, UniformStepping
+from .verify import PROFILES, verify_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,14 +37,14 @@ def _add_setup(p: argparse.ArgumentParser):
     """Flags that fix the problem: grid, potential, scheme, horizon, u0."""
     p.add_argument("--grid-m", type=int, default=128)
     p.add_argument("--grid-l", type=float, default=1.0)
-    p.add_argument("--boundary", choices=["periodic", "neumann"], default="periodic")
+    p.add_argument("--boundary", choices=BOUNDARIES, default="periodic")
     p.add_argument("--potential", choices=["double-well", "flory-huggins"],
                    default="double-well")
     p.add_argument("--theta", type=float, default=0.8)
     p.add_argument("--theta-c", type=float, default=1.6)
     p.add_argument("--sigma", choices=["const", "exp", "arctan", "tanh"], default="exp")
     p.add_argument("--sigma-a", type=float, default=1.0)
-    p.add_argument("--scheme", choices=["ei1", "ei2", "stab1"], default="ei2")
+    p.add_argument("--scheme", choices=SCHEMES, default="ei2")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--kappa", type=float, default=None,
                    help="stabilizing constant; defaults to the Lipschitz bound")
@@ -80,9 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--tau-ref", type=float, required=True)
 
     p_ver = sub.add_parser("verify", help="run the verification suites")
-    p_ver.add_argument("--profile", nargs="*",
-                       choices=["lemmas", "invariants", "oracles"],
-                       default=["lemmas", "invariants", "oracles"])
+    p_ver.add_argument("--profile", nargs="*", choices=PROFILES, default=PROFILES)
     p_ver.add_argument("--seed", type=int, default=20240817)
     p_ver.add_argument("--kappa", type=float, default=None,
                        help="invariants-profile kappa; defaults to the Lipschitz bound")
@@ -136,7 +135,6 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import verify_suite
     report = verify_suite(tuple(args.profile), seed=args.seed, kappa=args.kappa)
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["passed"] else EXIT_VERIFY

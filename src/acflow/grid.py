@@ -16,6 +16,7 @@ from .errors import positive
 
 PERIODIC = "periodic"
 NEUMANN = "neumann"
+BOUNDARIES = (PERIODIC, NEUMANN)
 
 
 class Grid:
@@ -24,7 +25,7 @@ class Grid:
     def __init__(self, m: int, length: float = 1.0, boundary: str = PERIODIC):
         if m < 2:
             raise ValueError(f"need at least 2 points per dimension, got M={m}")
-        if boundary not in (PERIODIC, NEUMANN):
+        if boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {boundary!r}")
         self.m = int(m)
         self.length = positive("domain side length", length)

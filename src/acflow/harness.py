@@ -145,10 +145,14 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
     writes the requested snapshots as it goes.  A failing step (a
     ``NumericFailure``, ``InvariantViolation`` included) is given the step's
     start time and size, leaves failure.json and the last good field in the
-    output directory, and is re-raised.  With ``check_invariants`` on, initial
-    data outside [-beta, beta] is a ``ValueError``.
+    output directory, and is re-raised.  Snapshots without an output
+    directory are a ``ValueError``, and so, with ``check_invariants`` on, is
+    initial data outside [-beta, beta].
     """
     grid, scfg, stepping, out_dir = cfg.grid, cfg.scheme, cfg.stepping, cfg.out_dir
+    every = cfg.snapshot_every
+    if every and out_dir is None:
+        raise ValueError(f"snapshot_every={every} needs an out_dir to write to")
     state = initial_state(grid, scfg, u0)
     rows = [_make_row(grid, scfg, state, 0.0)]
     beta = scfg.potential.beta
@@ -156,14 +160,13 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
         raise ValueError(f"initial data exceeds the bound beta={beta}: "
                          f"sup norm {rows[0].sup_norm}")
 
-    csv, every = None, 0
+    csv = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         # Line-buffered, so each row is in the file once it is made.
         csv = open(os.path.join(out_dir, "diagnostics.csv"), "w", buffering=1)
         csv.write(DIAGNOSTICS_HEADER + "\n")
         write_diagnostics(csv, rows[0])
-        every = cfg.snapshot_every
     try:
         if every:
             _write_snapshot(out_dir, state)

@@ -8,6 +8,9 @@ constant kappa.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 from scipy.optimize import brentq
 
@@ -74,7 +77,12 @@ class FloryHuggins:
     def f(self, u):
         u = np.asarray(u, dtype=float)
         self._check_domain(u)
-        return 0.5 * self.theta * np.log((1.0 - u) / (1.0 + u)) + self.theta_c * u
+        # theta_c u - theta artanh(u), accumulated in place; artanh keeps the
+        # relative accuracy that (1/2) log((1 - u)/(1 + u)) loses near 0.
+        out = np.arctanh(u)
+        out *= -self.theta
+        out += self.theta_c * u
+        return out
 
     def F(self, u):
         u = np.asarray(u, dtype=float)
@@ -102,64 +110,64 @@ def make_potential(kind: str, theta: float = 0.8, theta_c: float = 1.6):
 
 # -- shaping functions --------------------------------------------------------
 
+# exp(x) is a positive normal float for every x in [_LOG_MIN, _LOG_MAX].
+_LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
-class ConstantSigma:
-    """Positive constant shaping function; the ratio degenerates to exactly 1."""
 
-    name = "const"
+class _Sigma:
+    """A shaping function sigma > 0, used only through g = sigma(r)/sigma(e1):
+    ``log_ratio`` gives log g in a form that neither overflows nor cancels."""
 
     def ratio(self, r: float, e1: float) -> float:
-        return 1.0
+        x = self.log_ratio(r, e1)
+        if not _LOG_MIN <= x <= _LOG_MAX:  # NaN fails both comparisons
+            raise NumericRangeError(f"shaping ratio {self.name}(r)/{self.name}(e1) "
+                                    f"out of range: r={r!r}, e1={e1!r}")
+        return float(np.exp(x))
 
 
-class ExpSigma:
-    """sigma(x) = exp(a x), a > 0; the ratio is one exponential of a difference."""
+class ConstantSigma(_Sigma):
+    """A positive constant: g = exp(0.0) = 1 exactly, whatever r and e1 are."""
+    name = "const"
 
+    def log_ratio(self, r: float, e1: float) -> float:
+        return 0.0
+
+
+class ExpSigma(_Sigma):
+    """exp(a x), a > 0: log g = a (r - e1), so no factor overflows at large a."""
     name = "exp"
 
     def __init__(self, a: float = 1.0):
         self.a = positive("exp sigma rate a", a)
 
-    def ratio(self, r: float, e1: float) -> float:
-        # Evaluated as exp(a*(r - e1)) so O(1) arguments with large a never
-        # overflow through the separate factors.
-        g = float(np.exp(self.a * (r - e1)))
-        if not np.isfinite(g) or g <= 0.0:
-            raise NumericRangeError(f"shaping ratio overflowed: a={self.a}, r-e1={r - e1}")
-        return g
+    def log_ratio(self, r: float, e1: float) -> float:
+        return self.a * (r - e1)
 
 
-class _RatioSigma:
-    def ratio(self, r: float, e1: float) -> float:
-        g = self.value(r) / self.value(e1)
-        if not np.isfinite(g) or g <= 0.0:
-            raise NumericRangeError(f"shaping ratio non-finite: r={r}, e1={e1}")
-        return g
-
-
-class ArctanSigma(_RatioSigma):
+class ArctanSigma(_Sigma):
+    """pi/2 + arctan(x) = atan2(1, -x), which does not cancel as x -> -inf."""
     name = "arctan"
 
-    def value(self, x: float) -> float:
-        return float(0.5 * np.pi + np.arctan(x))
+    def log_ratio(self, r: float, e1: float) -> float:
+        return math.log(math.atan2(1.0, -r) / math.atan2(1.0, -e1))
 
 
-class TanhSigma(_RatioSigma):
+class TanhSigma(_Sigma):
+    """1 + tanh(x) = 2 exp(min(2x, 0)) / (1 + exp(-2|x|)), with no cancellation."""
     name = "tanh"
 
-    def value(self, x: float) -> float:
-        return float(1.0 + np.tanh(x))
+    def log_ratio(self, r: float, e1: float) -> float:
+        return (min(2.0 * r, 0.0) - min(2.0 * e1, 0.0)
+                + math.log1p(math.exp(-2.0 * abs(e1))) - math.log1p(math.exp(-2.0 * abs(r))))
 
 
 def make_sigma(kind: str, a: float = 1.0):
-    if kind == "const":
-        return ConstantSigma()
     if kind == "exp":
         return ExpSigma(a)
-    if kind == "arctan":
-        return ArctanSigma()
-    if kind == "tanh":
-        return TanhSigma()
+    for sigma in (ConstantSigma, ArctanSigma, TanhSigma):
+        if kind == sigma.name:
+            return sigma()
     raise ValueError(f"unknown sigma {kind!r}")
 
 

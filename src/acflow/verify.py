@@ -15,14 +15,13 @@ import numpy as np
 
 from .errors import AcflowError
 from .expkernel import StabilizedOperator, dense_expm, dense_phi1m, phi1
-from .grid import Grid, dense_laplacian
+from .grid import BOUNDARIES, Grid, dense_laplacian
 from .harness import RunConfig, init_random, run
 from .potentials import DoubleWell, ExpSigma, FloryHuggins
 from .schemes import SchemeConfig
 from .timestep import UniformStepping
 
 PROFILES = ("lemmas", "invariants", "oracles")
-BOUNDARIES = ("periodic", "neumann")
 
 
 @dataclass

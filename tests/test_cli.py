@@ -50,6 +50,13 @@ def test_usage_error_exit_code():
     assert main(["converge", "--taus", "", "--tau-ref", "0.001"]) == EXIT_USAGE
 
 
+def test_snapshots_need_an_output_directory(capsys):
+    rc = main(["run", "--grid-m", "16", "--tau", "0.1", "--t-end", "0.5",
+               "--snapshot-every", "1"])
+    assert rc == EXIT_USAGE
+    assert "usage error: snapshot_every=1 needs an out_dir" in capsys.readouterr().err
+
+
 SMALL = {"run": ["run", "--grid-m", "16", "--t-end", "0.1"],
          "converge": ["converge", "--grid-m", "16", "--t-end", "1",
                       "--taus", "0.5,0.25", "--tau-ref", "0.0078125"]}

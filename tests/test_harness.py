@@ -20,6 +20,7 @@ from acflow.potentials import (
     DoubleWell,
     ExpSigma,
     FloryHuggins,
+    TanhSigma,
     modified_energy,
     total_energy,
 )
@@ -198,6 +199,20 @@ class TestRun:
         assert len(csv) == 1 + 5  # header + initial row + 4 steps
         snap = np.load(out / "u_2.npy")
         assert snap.shape == (16, 16)
+
+    def test_tanh_run_through_large_negative_energy(self):
+        # On a 10 x 10 domain E1(u) falls to about -19, where 1 + tanh(x)
+        # loses every digit as a difference: the ratio read g = 1 exactly and
+        # then divided by zero at step 29.
+        grid = Grid(32, 10.0)
+        pot = FloryHuggins()
+        scfg = SchemeConfig(eps=0.01, kappa=pot.lipschitz, potential=pot,
+                            sigma=TanhSigma(), scheme="ei2")
+        cfg = RunConfig(grid=grid, scheme=scfg, stepping=UniformStepping(0.05),
+                        t_end=2.0, check_invariants=True)
+        state, rows = run(init_random(grid, -0.8, 0.8, 1), cfg)
+        assert state.t == pytest.approx(2.0, rel=1e-12)
+        assert all(row.g != 1.0 for row in rows[1:])
 
     def test_diagnostics_bitwise_deterministic(self, tmp_path):
         grid = Grid(16)

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from acflow.errors import DomainBoundError
+from acflow.errors import DomainBoundError, NumericRangeError
 from acflow.grid import Grid
 from acflow.potentials import (
     ArctanSigma,
@@ -75,6 +77,25 @@ class TestFloryHuggins:
         assert pot.lipschitz == pytest.approx(abs(1.01 - 1.0 / (1.0 - pot.beta**2)),
                                               rel=1e-15)
 
+    @pytest.mark.parametrize("theta_c", [1.00001, 1.0 + 1e-9])
+    def test_barely_supercritical_parameters_accepted(self, theta_c):
+        # beta^2/3 + beta^4/5 + ... = theta_c/theta - 1, so beta ~ sqrt(3 d).
+        pot = FloryHuggins(1.0, theta_c)
+        assert pot.f(pot.beta) <= 0.0 <= pot.f(-pot.beta)
+        assert pot.beta == pytest.approx(math.sqrt(3.0 * (theta_c - 1.0)), rel=1e-4)
+
+    def test_adjacent_parameters_accepted(self):
+        theta = 0.3
+        pot = FloryHuggins(theta, float(np.nextafter(theta, 1.0)))
+        assert 0.0 < pot.beta < 1.0
+        assert pot.f(pot.beta) <= 0.0 <= pot.f(-pot.beta)
+
+    def test_reaction_accurate_near_zero(self):
+        # f(u) = (theta_c - theta) u - theta u^3/3 - ..., here to u^3.
+        u = np.array([1e-12, 1e-9, 1e-6])
+        series = (self.pot.theta_c - self.pot.theta) * u - self.pot.theta * u**3 / 3
+        assert np.all(np.abs(self.pot.f(u) / series - 1.0) <= 1e-15)
+
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):
             FloryHuggins(theta=0.8, theta_c=0.8)
@@ -137,6 +158,30 @@ class TestSigma:
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(ValueError):
             ExpSigma(-1.0)
+
+    @pytest.mark.parametrize("r", [1.0, -1.0])
+    def test_exp_ratio_out_of_range_raises(self, r):
+        # exp(+-1000) overflows or underflows; no numpy warning comes first.
+        with pytest.raises(NumericRangeError, match=rf"exp.*r={r!r}, e1=0"):
+            ExpSigma(1000.0).ratio(r, 0)
+
+    @pytest.mark.parametrize("sigma, closed_form", [
+        (TanhSigma(), lambda r, e1: (math.exp(2 * (r - e1)) * (1 + math.exp(2 * e1))
+                                     / (1 + math.exp(2 * r)))),
+        (ArctanSigma(), lambda r, e1: math.atan(-1 / r) / math.atan(-1 / e1)),
+    ], ids=["tanh", "arctan"])
+    def test_ratio_at_large_negative_arguments(self, sigma, closed_form):
+        # sigma(x) -> 0 as x -> -inf; its ratio is still a well-scaled number,
+        # or, when that number exceeds the float range, a NumericRangeError.
+        for r, e1 in [(-15, -15.01), (-18, -18.01), (-500, -500.01),
+                      (-1e8, -1.0001e8), (-1e17, -1.01e17)]:
+            try:
+                expected = closed_form(r, e1)
+            except OverflowError:
+                with pytest.raises(NumericRangeError):
+                    sigma.ratio(r, e1)
+                continue
+            assert sigma.ratio(r, e1) == pytest.approx(expected, rel=1e-12), (r, e1)
 
 
 class TestEnergies:
