@@ -16,7 +16,7 @@ import numpy as np
 from .errors import AcflowError
 from .grid import BOUNDARIES, Grid
 from .harness import RunConfig, converge, init_random, init_sine, run
-from .potentials import make_potential, make_sigma
+from .potentials import POTENTIALS, SIGMAS, make_potential, make_sigma
 from .schemes import SCHEMES, SchemeConfig
 from .timestep import AdaptiveStepping, UniformStepping
 from .verify import PROFILES, verify_suite
@@ -38,11 +38,10 @@ def _add_setup(p: argparse.ArgumentParser):
     p.add_argument("--grid-m", type=int, default=128)
     p.add_argument("--grid-l", type=float, default=1.0)
     p.add_argument("--boundary", choices=BOUNDARIES, default="periodic")
-    p.add_argument("--potential", choices=["double-well", "flory-huggins"],
-                   default="double-well")
+    p.add_argument("--potential", choices=POTENTIALS, default="double-well")
     p.add_argument("--theta", type=float, default=0.8)
     p.add_argument("--theta-c", type=float, default=1.6)
-    p.add_argument("--sigma", choices=["const", "exp", "arctan", "tanh"], default="exp")
+    p.add_argument("--sigma", choices=SIGMAS, default="exp")
     p.add_argument("--sigma-a", type=float, default=1.0)
     p.add_argument("--scheme", choices=SCHEMES, default="ei2")
     p.add_argument("--eps", type=float, default=0.01)

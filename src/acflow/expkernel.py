@@ -46,19 +46,21 @@ class StabilizedOperator:
 
     def advance(self, tau: float, v: np.ndarray, nonlin: np.ndarray) -> np.ndarray:
         """e^{-tau L} v + tau * phi1(-tau L) nonlin with one inverse transform."""
-        return self.advance_spectral(tau, self.grid.fast_forward(v), nonlin)
+        return self.advance_spectral(tau, self.grid.fast_forward(v), nonlin)[0]
 
     def advance_spectral(self, tau: float, v_hat: np.ndarray,
-                         nonlin: np.ndarray) -> np.ndarray:
+                         nonlin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``advance`` given v_hat = ``grid.fast_forward(v)``, so steps that
-        start two stages from the same v transform it once."""
+        start two stages from the same v transform it once.  Returns the
+        field and the spectrum it was inverted from, which a step carries to
+        the next one in place of transforming the field again."""
         z = self._eigenvalues()
         z *= -positive("tau", tau)
         combined = self.grid.fast_forward(nonlin)
         combined *= tau
         combined *= phi1(z)
         combined += v_hat * np.exp(z, out=z)
-        return self.grid.fast_inverse(combined)
+        return self.grid.fast_inverse(combined), combined
 
     def solve_shifted(self, tau: float, v: np.ndarray) -> np.ndarray:
         """(I + tau L)^{-1} v, the backward-Euler resolvent."""

@@ -95,8 +95,18 @@ class Grid:
         return float(np.max(np.abs(v)))
 
     def grad_norm2_sq(self, v: np.ndarray) -> float:
-        gx, gy = self.gradient(v)
-        return self.inner(gx, gx) + self.inner(gy, gy)
+        """inner(gx, gx) + inner(gy, gy) for (gx, gy) = ``gradient(v)``,
+        bitwise, in one scratch buffer: the y pass writes through transposes,
+        so the buffer holds gy in its own layout and sums in its order."""
+        d = np.empty((self.m, self.m))
+        total = 0.0
+        for w, dw in ((v, d), (v.T, d.T)):
+            np.subtract(w[1:], w[:-1], out=dw[:-1])
+            dw[-1] = w[0] - w[-1] if self.boundary == PERIODIC else 0.0
+            d /= self.h
+            d *= d
+            total += self.h * self.h * float(np.sum(d))
+        return total
 
     # -- eigenbasis and fast diagonal application (hot path) -----------------
 

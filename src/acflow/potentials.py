@@ -100,12 +100,13 @@ class FloryHuggins:
         return ent
 
 
+POTENTIALS = (DoubleWell.name, FloryHuggins.name)
+
+
 def make_potential(kind: str, theta: float = 0.8, theta_c: float = 1.6):
-    if kind == "double-well":
-        return DoubleWell()
-    if kind == "flory-huggins":
-        return FloryHuggins(theta, theta_c)
-    raise ValueError(f"unknown potential {kind!r}")
+    if kind not in POTENTIALS:
+        raise ValueError(f"unknown potential {kind!r}")
+    return DoubleWell() if kind == DoubleWell.name else FloryHuggins(theta, theta_c)
 
 
 # -- shaping functions --------------------------------------------------------
@@ -162,13 +163,15 @@ class TanhSigma(_Sigma):
                 + math.log1p(math.exp(-2.0 * abs(e1))) - math.log1p(math.exp(-2.0 * abs(r))))
 
 
+_SIGMA_TYPES = {sigma.name: sigma
+                for sigma in (ConstantSigma, ExpSigma, ArctanSigma, TanhSigma)}
+SIGMAS = tuple(_SIGMA_TYPES)
+
+
 def make_sigma(kind: str, a: float = 1.0):
-    if kind == "exp":
-        return ExpSigma(a)
-    for sigma in (ConstantSigma, ArctanSigma, TanhSigma):
-        if kind == sigma.name:
-            return sigma()
-    raise ValueError(f"unknown sigma {kind!r}")
+    if kind not in SIGMAS:
+        raise ValueError(f"unknown sigma {kind!r}")
+    return ExpSigma(a) if kind == ExpSigma.name else _SIGMA_TYPES[kind]()
 
 
 # -- energies -----------------------------------------------------------------

@@ -4,13 +4,15 @@ stabilized semi-implicit variant, and a fine-step reference-solution driver.
 All steps are pure functions (state in, state out).  The auxiliary scalar s
 tracks the bulk energy; the shaping ratio g = sigma(s) / sigma(E1(u)) feeds
 both the frozen linear operator and the nonlinear term.  Each state carries
-E1(u), evaluated once, for the next step and the diagnostics row.
+E1(u), evaluated once, for the next step and the diagnostics row, and the
+exponential steps hand on the spectrum of the field they make, so the next
+step does not transform it again.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,12 +45,17 @@ class SchemeConfig:
 
 @dataclass
 class SolverState:
+    """A point of a trajectory.  ``e1`` and ``u_hat`` describe ``u``: E1(u)
+    and ``grid.fast_forward(u)``, each None until first needed or carried
+    from the step that made u.  A caller who changes u makes a new state
+    rather than editing this one."""
     u: np.ndarray
     s: float
     t: float = 0.0
     step: int = 0
     g: float = 1.0  # shaping ratio used by the step that produced this state
-    e1: float | None = None  # bulk energy E1(u); None until first needed
+    e1: float | None = None
+    u_hat: np.ndarray | None = field(default=None, repr=False)
 
 
 def state_bulk_energy(grid: Grid, cfg: SchemeConfig, state: SolverState) -> float:
@@ -56,6 +63,13 @@ def state_bulk_energy(grid: Grid, cfg: SchemeConfig, state: SolverState) -> floa
     if state.e1 is None:
         state.e1 = bulk_energy(grid, cfg.potential, state.u)
     return state.e1
+
+
+def state_spectrum(grid: Grid, state: SolverState) -> np.ndarray:
+    """grid.fast_forward(state.u), transformed once per state and cached on it."""
+    if state.u_hat is None:
+        state.u_hat = grid.fast_forward(state.u)
+    return state.u_hat
 
 
 def initial_state(grid: Grid, cfg: SchemeConfig, u0: np.ndarray) -> SolverState:
@@ -83,10 +97,11 @@ def _check_finite(u: np.ndarray, s: float, label: str, step: int):
 
 
 def _stepper(label: str):
-    """Turn a step body ``(grid, cfg, state, tau) -> (u, s, g)`` into a
-    stepper: require a finite positive tau, give range and domain errors the
-    failing step, check the result is finite and fill in its bulk energy.
-    The body's fields are released before that energy is evaluated."""
+    """Turn a step body ``(grid, cfg, state, tau) -> (u, s, g, u_hat)`` into
+    a stepper: require a finite positive tau, give range and domain errors
+    the failing step, check the result is finite and fill in its bulk energy.
+    The body's other fields are released before that energy is evaluated;
+    u_hat, the spectrum of u or None, goes on the new state."""
 
     def decorate(body):
         @functools.wraps(body)
@@ -94,13 +109,13 @@ def _stepper(label: str):
             positive("tau", tau)
             n = state.step + 1
             try:
-                u_new, s_new, g = body(grid, cfg, state, tau)
+                u_new, s_new, g, u_hat = body(grid, cfg, state, tau)
                 _check_finite(u_new, s_new, label, n)
                 e1 = bulk_energy(grid, cfg.potential, u_new)
             except (NumericRangeError, DomainBoundError) as exc:
                 raise NumericFailure(str(exc), step=n) from exc
             return SolverState(u=u_new, s=s_new, t=state.t + tau, step=n, g=g,
-                               e1=e1)
+                               e1=e1, u_hat=u_hat)
 
         return wrapper
 
@@ -111,19 +126,22 @@ def _first_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
                  tau: float, u_hat: np.ndarray | None):
     """One step with everything frozen at (u^n, s^n).  The linear part is the
     exponential (ei1) given u_hat, the transform of u^n, or the
-    backward-Euler resolvent (stab1) when u_hat is None."""
+    backward-Euler resolvent (stab1) when u_hat is None.  Returns
+    ``(u, s, g, u_hat)`` at the new state; its u_hat is None for stab1."""
     u, s = state.u, state.s
     g_n, fu, op, nonlin = _frozen_at(grid, cfg, u, s,
                                      state_bulk_energy(grid, cfg, state))
-    u_new = (op.solve_shifted(tau, u + tau * nonlin) if u_hat is None
-             else op.advance_spectral(tau, u_hat, nonlin))
-    return u_new, s - g_n * grid.inner(fu, u_new - u), g_n
+    if u_hat is None:
+        u_new, u_hat_new = op.solve_shifted(tau, u + tau * nonlin), None
+    else:
+        u_new, u_hat_new = op.advance_spectral(tau, u_hat, nonlin)
+    return u_new, s - g_n * grid.inner(fu, u_new - u), g_n, u_hat_new
 
 
 @_stepper("ei1 step")
 def step_ei1(grid: Grid, cfg: SchemeConfig, state: SolverState, tau: float):
     """First-order exponential step with the operator frozen at (u^n, s^n)."""
-    return _first_order(grid, cfg, state, tau, grid.fast_forward(state.u))
+    return _first_order(grid, cfg, state, tau, state_spectrum(grid, state))
 
 
 @_stepper("ei2 step")
@@ -132,21 +150,25 @@ def step_ei2(grid: Grid, cfg: SchemeConfig, state: SolverState, tau: float):
 
     The predictor is one ei1 step; the corrector freezes the operator and the
     nonlinear term at the predicted midpoint and adds a high-order
-    stabilization term to the s-update.  Both stages advance u^n, so its
-    transform is taken once.
+    stabilization term to the s-update.  Both stages advance u^n from its
+    spectrum; the predictor's own spectrum is dropped at once.
     """
     u, s = state.u, state.s
-    u_hat = grid.fast_forward(u)
-    u_pred, s_pred, _ = _first_order(grid, cfg, state, tau, u_hat)
+    u_hat = state_spectrum(grid, state)
+    u_pred, s_pred = _first_order(grid, cfg, state, tau, u_hat)[:2]
     _check_finite(u_pred, s_pred, "ei1 step", state.step + 1)
     g_m, f_mid, op, nonlin = _frozen_at(grid, cfg, 0.5 * (u + u_pred),
                                         0.5 * (s + s_pred))
-    u_new = op.advance_spectral(tau, u_hat, nonlin)
-    del u_hat, op, nonlin  # keep the s-update's temporaries off the peak
+    u_new, u_hat_new = op.advance_spectral(tau, u_hat, nonlin)
+    # Release what the s-update no longer needs as it goes (f_mid after its
+    # inner product), so its temporaries and the two spectra alive here,
+    # u^n's and u^{n+1}'s, do not raise the step's peak.
+    del op, nonlin
     du = u_new - u
-    s_new = (s - g_m * grid.inner(f_mid, du)
-             + 0.5 * cfg.kappa * g_m * grid.inner(u_new - u_pred, du))
-    return u_new, s_new, g_m
+    drop = g_m * grid.inner(f_mid, du)
+    del f_mid
+    s_new = s - drop + 0.5 * cfg.kappa * g_m * grid.inner(u_new - u_pred, du)
+    return u_new, s_new, g_m, u_hat_new
 
 
 @_stepper("stab1 step")

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from acflow.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from acflow.cli import (EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser,
+                        main)
 from acflow.harness import DIAGNOSTICS_HEADER
+from acflow.potentials import POTENTIALS, SIGMAS
 from acflow.verify import verify_suite
 
 
@@ -145,3 +147,11 @@ def test_converge_rejects_run_flags():
                  ["--tau-max", "1"], ["--alpha", "1"], ["--out", "d"],
                  ["--snapshot-every", "1"]):
         assert main(base + flag) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_potential_and_sigma_choices_come_from_the_library(command):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    choices = {a.dest: a.choices for a in sub.choices[command]._actions}
+    assert choices["potential"] == POTENTIALS == ("double-well", "flory-huggins")
+    assert choices["sigma"] == SIGMAS == ("const", "exp", "arctan", "tanh")

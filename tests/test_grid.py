@@ -67,6 +67,16 @@ class TestStencils:
             pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 3, 16, 33])
+def test_grad_norm2_sq_matches_gradient_form_bitwise(m, boundary):
+    grid = Grid(m, 1.3, boundary)
+    for seed in range(10):
+        v = random_field(grid, seed)
+        gx, gy = grid.gradient(v)
+        expected = grid.inner(gx, gx) + grid.inner(gy, gy)
+        assert grid.grad_norm2_sq(v) == expected
+
+
 class TestInnerProducts:
     def test_inner_of_ones_is_area(self, boundary):
         grid = Grid(7, 2.5, boundary)
