@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and its positive-parameter rule."""
+"""Exception types shared across the package, and its parameter rules."""
 
 import math
+import numbers
 
 
 def positive(name: str, value) -> float:
@@ -8,6 +9,13 @@ def positive(name: str, value) -> float:
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value}")
     return float(value)
+
+
+def whole(name: str, value, least: int) -> int:
+    """``value`` as an int; a ``ValueError`` unless an integer >= ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class AcflowError(Exception):

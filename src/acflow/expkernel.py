@@ -1,4 +1,4 @@
-"""Exponential kernels of the stabilized operator L = c I - eps^2 Lap_h.
+"""Spectral kernels of the stabilized operator L = c I - eps^2 Lap_h.
 
 The production path works in the trigonometric eigenbasis (FFT / DCT-II);
 the dense matrix routines are small-grid oracles for ``acflow.verify`` and
@@ -37,37 +37,34 @@ class StabilizedOperator:
         self.c = positive("stabilization coefficient", c)
         self.eps2 = positive("eps^2", eps2)
 
-    def _eigenvalues(self) -> np.ndarray:
-        """A fresh array of the eigenvalues of L in the fast-transform
-        layout; all >= c > 0.  Built per call in one buffer, so an operator
-        holds no field between its construction and its single use."""
-        eigs = np.multiply(self.eps2, self.grid.multiplier_eigenvalues)
-        return np.subtract(self.c, eigs, out=eigs)
-
     def advance(self, tau: float, v: np.ndarray, nonlin: np.ndarray) -> np.ndarray:
         """e^{-tau L} v + tau * phi1(-tau L) nonlin with one inverse transform."""
-        return self.advance_spectral(tau, self.grid.fast_forward(v), nonlin)[0]
+        return self.advance_spectral(tau, self.grid.fast_forward(v), nonlin,
+                                     resolvent=False)[0]
 
-    def advance_spectral(self, tau: float, v_hat: np.ndarray,
-                         nonlin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``advance`` given v_hat = ``grid.fast_forward(v)``, so steps that
-        start two stages from the same v transform it once.  Returns the
+    def advance_spectral(self, tau: float, v_hat: np.ndarray, nonlin: np.ndarray,
+                         resolvent: bool) -> tuple[np.ndarray, np.ndarray]:
+        """a v + tau * b nonlin with one inverse transform, given
+        v_hat = ``grid.fast_forward(v)``: the exponential step (ei1, ei2),
+        a = e^{-tau L} and b = phi1(-tau L), or with ``resolvent`` the
+        backward-Euler step (stab1), a = b = (I + tau L)^{-1}.  Returns the
         field and the spectrum it was inverted from, which a step carries to
         the next one in place of transforming the field again."""
-        z = self._eigenvalues()
+        # z = -tau L, built per call: an operator holds no field between uses.
+        z = np.multiply(self.eps2, self.grid.multiplier_eigenvalues)
+        np.subtract(self.c, z, out=z)
         z *= -positive("tau", tau)
         combined = self.grid.fast_forward(nonlin)
         combined *= tau
-        combined *= phi1(z)
-        combined += v_hat * np.exp(z, out=z)
+        if resolvent:  # a = b = 1 / (1 - z), written over z
+            np.subtract(1.0, z, out=z)
+            a = np.divide(1.0, z, out=z)
+            combined *= a
+        else:  # b = phi1(z) first, then a = e^z written over z
+            combined *= phi1(z)
+            a = np.exp(z, out=z)
+        combined += v_hat * a
         return self.grid.fast_inverse(combined), combined
-
-    def solve_shifted(self, tau: float, v: np.ndarray) -> np.ndarray:
-        """(I + tau L)^{-1} v, the backward-Euler resolvent."""
-        mult = self._eigenvalues()
-        mult *= positive("tau", tau)
-        mult += 1.0
-        return self.grid.apply_multiplier(v, np.divide(1.0, mult, out=mult))
 
     def dense_matrix(self) -> np.ndarray:
         """Explicit (M^2, M^2) matrix of L. Oracle only; refuses M > 16."""

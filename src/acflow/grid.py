@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 
-from .errors import positive
+from .errors import positive, whole
 
 PERIODIC = "periodic"
 NEUMANN = "neumann"
@@ -23,16 +23,14 @@ class Grid:
     """Square uniform grid on (0, L)^2 with M points per dimension."""
 
     def __init__(self, m: int, length: float = 1.0, boundary: str = PERIODIC):
-        if m < 2:
-            raise ValueError(f"need at least 2 points per dimension, got M={m}")
+        self.m = whole("M (points per dimension)", m, 2)
         if boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {boundary!r}")
-        self.m = int(m)
         self.length = positive("domain side length", length)
         self.boundary = boundary
         # L and M are stored; h is derived so h*M == L exactly.
         self.h = self.length / self.m
-        # Laplacian eigenvalues in the layout used by ``apply_multiplier``.
+        # Laplacian eigenvalues in the layout of ``fast_forward``'s spectra.
         self.multiplier_eigenvalues = self._build_multiplier_eigenvalues()
 
     # -- geometry ---------------------------------------------------------
@@ -108,7 +106,7 @@ class Grid:
             total += self.h * self.h * float(np.sum(d))
         return total
 
-    # -- eigenbasis and fast diagonal application (hot path) -----------------
+    # -- eigenbasis and fast transforms (hot path) ---------------------------
 
     def _build_multiplier_eigenvalues(self) -> np.ndarray:
         # 1D eigenvalues -4/h^2 sin^2(pi k / P), P = M (periodic) or 2M (DCT-II).
@@ -131,14 +129,6 @@ class Grid:
         if self.boundary == PERIODIC:
             return scipy.fft.irfft2(c, s=(self.m, self.m))
         return scipy.fft.idctn(c, type=2, norm="ortho")
-
-    def apply_multiplier(self, v: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        """Apply a function of the Laplacian given its spectral multiplier.
-
-        ``mult`` must have the layout of ``multiplier_eigenvalues``
-        (real-FFT half spectrum for periodic grids, DCT-II for Neumann).
-        """
-        return self.fast_inverse(self.fast_forward(v) * mult)
 
 
 def dense_laplacian(grid: Grid) -> np.ndarray:

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import NumericFailure, positive
+from .errors import NumericFailure, positive, whole
 from .grid import Grid
 from .potentials import interface_energy
 from .schemes import (SchemeConfig, SolverState, initial_state, reference_solution,
@@ -48,8 +48,7 @@ class RunConfig:
 
     def __post_init__(self):
         positive("t_end", self.t_end)
-        if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be nonnegative")
+        whole("snapshot_every", self.snapshot_every, 0)
 
 
 @dataclass

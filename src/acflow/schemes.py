@@ -5,7 +5,7 @@ All steps are pure functions (state in, state out).  The auxiliary scalar s
 tracks the bulk energy; the shaping ratio g = sigma(s) / sigma(E1(u)) feeds
 both the frozen linear operator and the nonlinear term.  Each state carries
 E1(u), evaluated once, for the next step and the diagnostics row, and the
-exponential steps hand on the spectrum of the field they make, so the next
+spectrum of u, handed on by the step that made u from its kernel, so the next
 step does not transform it again.
 """
 
@@ -101,7 +101,7 @@ def _stepper(label: str):
     a stepper: require a finite positive tau, give range and domain errors
     the failing step, check the result is finite and fill in its bulk energy.
     The body's other fields are released before that energy is evaluated;
-    u_hat, the spectrum of u or None, goes on the new state."""
+    u_hat, the spectrum of u, goes on the new state."""
 
     def decorate(body):
         @functools.wraps(body)
@@ -123,25 +123,23 @@ def _stepper(label: str):
 
 
 def _first_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
-                 tau: float, u_hat: np.ndarray | None):
-    """One step with everything frozen at (u^n, s^n).  The linear part is the
-    exponential (ei1) given u_hat, the transform of u^n, or the
-    backward-Euler resolvent (stab1) when u_hat is None.  Returns
-    ``(u, s, g, u_hat)`` at the new state; its u_hat is None for stab1."""
+                 tau: float, resolvent: bool):
+    """One step with everything frozen at (u^n, s^n), advanced from the
+    spectrum of u^n.  The linear part is the exponential (ei1) or, with
+    ``resolvent``, the backward-Euler resolvent (stab1).  Returns
+    ``(u, s, g, u_hat)`` at the new state."""
     u, s = state.u, state.s
     g_n, fu, op, nonlin = _frozen_at(grid, cfg, u, s,
                                      state_bulk_energy(grid, cfg, state))
-    if u_hat is None:
-        u_new, u_hat_new = op.solve_shifted(tau, u + tau * nonlin), None
-    else:
-        u_new, u_hat_new = op.advance_spectral(tau, u_hat, nonlin)
+    u_new, u_hat_new = op.advance_spectral(tau, state_spectrum(grid, state),
+                                           nonlin, resolvent)
     return u_new, s - g_n * grid.inner(fu, u_new - u), g_n, u_hat_new
 
 
 @_stepper("ei1 step")
 def step_ei1(grid: Grid, cfg: SchemeConfig, state: SolverState, tau: float):
     """First-order exponential step with the operator frozen at (u^n, s^n)."""
-    return _first_order(grid, cfg, state, tau, state_spectrum(grid, state))
+    return _first_order(grid, cfg, state, tau, resolvent=False)
 
 
 @_stepper("ei2 step")
@@ -155,11 +153,11 @@ def step_ei2(grid: Grid, cfg: SchemeConfig, state: SolverState, tau: float):
     """
     u, s = state.u, state.s
     u_hat = state_spectrum(grid, state)
-    u_pred, s_pred = _first_order(grid, cfg, state, tau, u_hat)[:2]
+    u_pred, s_pred = _first_order(grid, cfg, state, tau, resolvent=False)[:2]
     _check_finite(u_pred, s_pred, "ei1 step", state.step + 1)
     g_m, f_mid, op, nonlin = _frozen_at(grid, cfg, 0.5 * (u + u_pred),
                                         0.5 * (s + s_pred))
-    u_new, u_hat_new = op.advance_spectral(tau, u_hat, nonlin)
+    u_new, u_hat_new = op.advance_spectral(tau, u_hat, nonlin, resolvent=False)
     # Release what the s-update no longer needs as it goes (f_mid after its
     # inner product), so its temporaries and the two spectra alive here,
     # u^n's and u^{n+1}'s, do not raise the step's peak.
@@ -175,7 +173,7 @@ def step_ei2(grid: Grid, cfg: SchemeConfig, state: SolverState, tau: float):
 def step_stab1(grid: Grid, cfg: SchemeConfig, state: SolverState, tau: float):
     """Semi-implicit variant: e^{-tau L} replaced by (I + tau L)^{-1}, so
     (I + tau L) u^{n+1} = u^n + tau N; the s-update matches ei1."""
-    return _first_order(grid, cfg, state, tau, None)
+    return _first_order(grid, cfg, state, tau, resolvent=True)
 
 
 _STEPPERS = {EI1: step_ei1, EI2: step_ei2, STAB1: step_stab1}

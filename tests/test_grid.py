@@ -117,7 +117,8 @@ class TestEigenvalues:
             grid = Grid(m, 1.0, boundary)
             v = random_field(grid, m)
             dense = (dense_laplacian(grid) @ v.ravel()).reshape(m, m)
-            spectral = grid.apply_multiplier(v, grid.multiplier_eigenvalues)
+            spectral = grid.fast_inverse(grid.fast_forward(v)
+                                         * grid.multiplier_eigenvalues)
             scale = max(1.0, np.max(np.abs(dense)))
             assert np.max(np.abs(dense - spectral)) <= 1e-12 * scale
 
@@ -152,15 +153,17 @@ class TestTransforms:
     def test_stencil_vs_spectral_laplacian(self, boundary):
         grid = Grid(16, 1.0, boundary)
         v = random_field(grid, 8)
-        spectral = grid.apply_multiplier(v, grid.multiplier_eigenvalues)
+        spectral = grid.fast_inverse(grid.fast_forward(v)
+                                     * grid.multiplier_eigenvalues)
         stencil = grid.laplacian(v)
         assert grid.norm2(spectral - stencil) <= 1e-11 * max(1.0, grid.norm2(stencil))
 
     def test_transform_determinism(self, boundary):
         grid = Grid(16, 1.0, boundary)
         v = random_field(grid, 9)
-        a = grid.apply_multiplier(v, grid.multiplier_eigenvalues)
-        b = grid.apply_multiplier(v.copy(), grid.multiplier_eigenvalues.copy())
+        a = grid.fast_inverse(grid.fast_forward(v) * grid.multiplier_eigenvalues)
+        b = grid.fast_inverse(grid.fast_forward(v.copy())
+                              * grid.multiplier_eigenvalues.copy())
         assert np.array_equal(a, b)
 
 
@@ -168,6 +171,18 @@ class TestValidation:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             Grid(1)
+
+    @pytest.mark.parametrize("m", [2.5, 8.0, np.float64(8), "8"],
+                             ids=["2.5", "8.0", "float64-8", "str-8"])
+    def test_rejects_non_integer_m(self, m):
+        with pytest.raises(ValueError, match="M"):
+            Grid(m)
+
+    @pytest.mark.parametrize("m", [8, np.int64(8), np.int32(8)],
+                             ids=["int", "int64", "int32"])
+    def test_accepts_python_and_numpy_integers(self, m):
+        grid = Grid(m)
+        assert type(grid.m) is int and grid.m == 8 and grid.h == 1.0 / 8
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):

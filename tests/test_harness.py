@@ -200,6 +200,14 @@ class TestRun:
         snap = np.load(out / "u_2.npy")
         assert snap.shape == (16, 16)
 
+    @pytest.mark.parametrize("every", [0.5, 2.0, -1, np.nan])
+    def test_snapshot_every_must_be_a_count(self, tmp_path, every):
+        # 0.5 used to pass a sign check, and step % 0.5 == 0 then wrote a
+        # snapshot at every step.
+        with pytest.raises(ValueError, match="snapshot_every"):
+            RunConfig(grid=Grid(16), scheme=dw_config(), stepping=UniformStepping(0.1),
+                      t_end=0.5, out_dir=str(tmp_path), snapshot_every=every)
+
     def test_tanh_run_through_large_negative_energy(self):
         # On a 10 x 10 domain E1(u) falls to about -19, where 1 + tanh(x)
         # loses every digit as a difference: the ratio read g = 1 exactly and

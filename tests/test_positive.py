@@ -33,8 +33,9 @@ CONSTRUCTORS = {
     "StabilizedOperator.c": lambda x: StabilizedOperator(GRID8, x, 1e-4),
     "StabilizedOperator.eps2": lambda x: StabilizedOperator(GRID8, 2.0, x),
     "advance_spectral.tau": lambda x: OPERATOR.advance_spectral(
-        x, GRID8.fast_forward(np.ones((8, 8))), np.zeros((8, 8))),
-    "solve_shifted.tau": lambda x: OPERATOR.solve_shifted(x, np.ones((8, 8))),
+        x, GRID8.fast_forward(np.ones((8, 8))), np.zeros((8, 8)), resolvent=False),
+    "advance_spectral.tau[resolvent]": lambda x: OPERATOR.advance_spectral(
+        x, GRID8.fast_forward(np.ones((8, 8))), np.zeros((8, 8)), resolvent=True),
     "SchemeConfig.eps": lambda x: scheme_config(eps=x),
     "SchemeConfig.kappa": lambda x: scheme_config(kappa=x),
     **{f"step.tau[{s}]": step_with(s) for s in SCHEMES},
