@@ -20,11 +20,13 @@ def phi1(z):
     however small, so only z == 0 needs a guard.
     """
     z = np.asarray(z, dtype=float)
-    zero = z == 0.0
-    if not zero.any():  # divide without the guard's extra passes
+    # (z == 0).any() is faster than z.all() on float64; its mask is not
+    # held through expm1 unless the guard needs it.
+    if not (z == 0.0).any():  # divide without the guard's extra passes
         out = np.expm1(z)
         out /= z
     else:
+        zero = z == 0.0
         out = np.where(zero, 1.0, np.expm1(z) / np.where(zero, 1.0, z))
     return out if out.ndim else float(out)
 
@@ -64,6 +66,7 @@ class StabilizedOperator:
             combined *= phi1(z)
             a = np.exp(z, out=z)
         combined += v_hat * a
+        del z, a  # not held through the inverse transform
         return self.grid.fast_inverse(combined), combined
 
     def dense_matrix(self) -> np.ndarray:

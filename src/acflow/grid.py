@@ -77,20 +77,21 @@ class Grid:
 
     # -- inner products -----------------------------------------------------
 
-    # np.sum uses a fixed pairwise (tree) reduction, so all reductions below
-    # are deterministic and bit-reproducible for identical inputs.
+    # Every reduction reads its fields once and allocates nothing.
 
     def integrate(self, v: np.ndarray) -> float:
         return self.h * self.h * float(np.sum(v))
 
     def inner(self, v: np.ndarray, w: np.ndarray) -> float:
-        return self.h * self.h * float(np.sum(v * w))
+        return self.h * self.h * _sum_of_products(v, w)
 
     def norm2(self, v: np.ndarray) -> float:
         return float(np.sqrt(self.inner(v, v)))
 
     def norm_inf(self, v: np.ndarray) -> float:
-        return float(np.max(np.abs(v)))
+        # max |v| = max(max v, -min v) without an |v| copy; abs() makes a
+        # zero result +0.0 whatever the signs of the field's zeros.
+        return abs(max(float(np.max(v)), -float(np.min(v))))
 
     def grad_norm2_sq(self, v: np.ndarray) -> float:
         """inner(gx, gx) + inner(gy, gy) for (gx, gy) = ``gradient(v)``,
@@ -102,8 +103,7 @@ class Grid:
             np.subtract(w[1:], w[:-1], out=dw[:-1])
             dw[-1] = w[0] - w[-1] if self.boundary == PERIODIC else 0.0
             d /= self.h
-            d *= d
-            total += self.h * self.h * float(np.sum(d))
+            total += self.h * self.h * _sum_of_products(d, d)
         return total
 
     # -- eigenbasis and fast transforms (hot path) ---------------------------
@@ -129,6 +129,13 @@ class Grid:
         if self.boundary == PERIODIC:
             return scipy.fft.irfft2(c, s=(self.m, self.m))
         return scipy.fft.idctn(c, type=2, norm="ortho")
+
+
+def _sum_of_products(v: np.ndarray, w: np.ndarray) -> float:
+    """sum(v * w) in one read of each field and no product temporary.
+    einsum gives the same bits for the same inputs on every run; np.dot
+    (BLAS ddot) does not, as its bits change with the thread count."""
+    return float(np.einsum("ij,ij->", v, w))
 
 
 def dense_laplacian(grid: Grid) -> np.ndarray:

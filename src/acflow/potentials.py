@@ -18,6 +18,12 @@ from .errors import DomainBoundError, NumericRangeError, positive
 from .grid import Grid
 
 
+def _value(out: np.ndarray):
+    """A potential's result: the field, or the scalar of a 0-d input.  The
+    bodies write through ``out=``, which needs an array even for a scalar u."""
+    return out if out.ndim else out[()]
+
+
 class DoubleWell:
     """Quartic double-well free energy, F(u) = (1 - u^2)^2 / 4."""
 
@@ -26,12 +32,21 @@ class DoubleWell:
     lipschitz = 2.0  # sup of |f'| = |1 - 3u^2| on [-1, 1], attained at u = +-1
 
     def f(self, u):
-        u = np.asarray(u)
-        return u * (1.0 - u * u)
+        # u (1 - u^2), each operation written over one buffer.
+        u = np.asarray(u, dtype=float)
+        out = np.multiply(u, u, out=np.empty_like(u))
+        np.subtract(1.0, out, out=out)
+        out *= u
+        return _value(out)
 
     def F(self, u):
-        w = 1.0 - np.asarray(u) ** 2
-        return 0.25 * w * w
+        # w = 1 - u^2, then (0.25 w) w: the arithmetic of 0.25 * w * w.
+        u = np.asarray(u, dtype=float)
+        w = np.multiply(u, u, out=np.empty_like(u))
+        np.subtract(1.0, w, out=w)
+        out = np.multiply(0.25, w, out=np.empty_like(u))
+        out *= w
+        return _value(out)
 
 
 class FloryHuggins:
@@ -69,10 +84,14 @@ class FloryHuggins:
         return -self.theta / (1.0 - u * u) + self.theta_c
 
     def _check_domain(self, u):
-        if np.any(np.abs(u) >= 1.0):
-            raise DomainBoundError(
-                "Flory-Huggins evaluation outside (-1, 1): "
-                f"max |u| = {float(np.max(np.abs(u)))}")
+        # One read per bound and no |u| copy.  fmax and fmin skip NaN as
+        # |u| >= 1 does, so a NaN entry alone does not raise; an empty u
+        # reduces to the initial values and passes.
+        hi = float(np.fmax.reduce(u, axis=None, initial=-np.inf))
+        lo = float(np.fmin.reduce(u, axis=None, initial=np.inf))
+        if hi >= 1.0 or lo <= -1.0:
+            raise DomainBoundError("Flory-Huggins evaluation outside (-1, 1): "
+                                   f"max |u| = {max(hi, -lo)}")
 
     def f(self, u):
         u = np.asarray(u, dtype=float)
@@ -87,17 +106,21 @@ class FloryHuggins:
     def F(self, u):
         u = np.asarray(u, dtype=float)
         self._check_domain(u)
-        # (1+u) log1p(u) + (1-u) log1p(-u), accumulated in place; the two
-        # terms swap under u -> -u, so F(-u) == F(u) exactly.
-        ent = np.log1p(u)
-        ent *= 1.0 + u
-        other = np.log1p(-u)
-        other *= 1.0 - u
+        # (1+u) log1p(u) + (1-u) log1p(-u), accumulated in three buffers; the
+        # two terms swap under u -> -u, so F(-u) == F(u) exactly.
+        ent = np.log1p(u, out=np.empty_like(u))
+        t = np.add(1.0, u, out=np.empty_like(u))
+        ent *= t
+        other = np.negative(u, out=np.empty_like(u))
+        np.log1p(other, out=other)
+        np.subtract(1.0, u, out=t)
+        other *= t
         ent += other
-        del other
         ent *= 0.5 * self.theta
-        ent -= 0.5 * self.theta_c * u**2
-        return ent
+        np.multiply(u, u, out=other)  # u**2
+        other *= 0.5 * self.theta_c
+        ent -= other
+        return _value(ent)
 
 
 POTENTIALS = (DoubleWell.name, FloryHuggins.name)

@@ -12,6 +12,7 @@ step does not transform it again.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,11 +89,24 @@ def _frozen_at(grid: Grid, cfg: SchemeConfig, u: np.ndarray, s: float,
     g = cfg.sigma.ratio(s, e1)
     fu = cfg.potential.f(u)
     op = StabilizedOperator(grid, cfg.kappa * g, cfg.eps ** 2)
-    return g, fu, op, g * (fu + cfg.kappa * u)
+    nonlin = np.multiply(cfg.kappa, u)  # g (f(u) + kappa u) in one buffer
+    nonlin += fu
+    nonlin *= g
+    return g, fu, op, nonlin
 
 
-def _check_finite(u: np.ndarray, s: float, label: str, step: int):
-    if not np.isfinite(s) or not np.all(np.isfinite(u)):
+def _check_finite(s: float, label: str, step: int):
+    """Raise if the state a step made is not finite, read from s alone.
+
+    Every s-update subtracts h^2 g sum_i f_i (u_new_i - u_i) with g > 0,
+    u = u^n and f the reaction the stage froze (at u^n or at the midpoint),
+    finite where that field is.  A +-inf or NaN entry of u_new makes its
+    term non-finite: inf * 0 = NaN, inf * f_i = +-inf for f_i != 0,
+    NaN * f_i = NaN.  A sum with a non-finite term is non-finite
+    (inf - inf = NaN), so s is too.  Hence this check raises exactly when a
+    check of s and of every entry of u_new would, without a pass over the
+    field."""
+    if not math.isfinite(s):
         raise NumericFailure(f"non-finite state after {label}", step=step)
 
 
@@ -110,7 +124,7 @@ def _stepper(label: str):
             n = state.step + 1
             try:
                 u_new, s_new, g, u_hat = body(grid, cfg, state, tau)
-                _check_finite(u_new, s_new, label, n)
+                _check_finite(s_new, label, n)
                 e1 = bulk_energy(grid, cfg.potential, u_new)
             except (NumericRangeError, DomainBoundError) as exc:
                 raise NumericFailure(str(exc), step=n) from exc
@@ -154,18 +168,22 @@ def step_ei2(grid: Grid, cfg: SchemeConfig, state: SolverState, tau: float):
     u, s = state.u, state.s
     u_hat = state_spectrum(grid, state)
     u_pred, s_pred = _first_order(grid, cfg, state, tau, resolvent=False)[:2]
-    _check_finite(u_pred, s_pred, "ei1 step", state.step + 1)
-    g_m, f_mid, op, nonlin = _frozen_at(grid, cfg, 0.5 * (u + u_pred),
-                                        0.5 * (s + s_pred))
+    _check_finite(s_pred, "ei1 step", state.step + 1)
+    u_mid = np.add(u, u_pred)
+    u_mid *= 0.5
+    g_m, f_mid, op, nonlin = _frozen_at(grid, cfg, u_mid, 0.5 * (s + s_pred))
+    del u_mid
     u_new, u_hat_new = op.advance_spectral(tau, u_hat, nonlin, resolvent=False)
     # Release what the s-update no longer needs as it goes (f_mid after its
-    # inner product), so its temporaries and the two spectra alive here,
-    # u^n's and u^{n+1}'s, do not raise the step's peak.
+    # inner product, u_pred overwritten by u^{n+1} - u_pred), so its
+    # temporaries and the two spectra alive here, u^n's and u^{n+1}'s, do
+    # not raise the step's peak.
     del op, nonlin
     du = u_new - u
     drop = g_m * grid.inner(f_mid, du)
     del f_mid
-    s_new = s - drop + 0.5 * cfg.kappa * g_m * grid.inner(u_new - u_pred, du)
+    rise = np.subtract(u_new, u_pred, out=u_pred)
+    s_new = s - drop + 0.5 * cfg.kappa * g_m * grid.inner(rise, du)
     return u_new, s_new, g_m, u_hat_new
 
 

@@ -5,8 +5,11 @@ The ei2 step transforms u^n once for both stages, every state carries its
 bulk energy E1(u) from the step that made it, and a diagnostics row
 evaluates the gradient once.  Every step carries the spectrum of the field
 it makes to the next step, so only the first step of a trajectory
-transforms its u^n.
+transforms its u^n.  An ei2 step releases each temporary at its last use,
+which bounds the memory it traces.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -40,9 +43,19 @@ def _counter(monkeypatch, owner, name):
     return calls
 
 
-def _setup(problem, scheme):
+# Peak bytes traced during one ei2 step at M=64, in fields of M*M floats,
+# with numpy 2.4: Neumann FH measures 6.026-6.031 and periodic DW
+# 6.671-6.680.  The periodic peak is the spectral advance's, where about one
+# field is numpy's buffer for casting the real multiplier to complex (capped
+# at 8192 elements, so a smaller share at larger M).  The bounds leave 0.01
+# field for the Python objects a run allocates.
+PEAK_M = 64
+PEAK_FIELDS_PER_EI2_STEP = {"periodic-dw": 6.69, "neumann-fh": 6.05}
+
+
+def _setup(problem, scheme, m=16):
     boundary, potential = PROBLEMS[problem]
-    grid = Grid(16, 1.0, boundary)
+    grid = Grid(m, 1.0, boundary)
     pot = potential()
     cfg = SchemeConfig(eps=0.01, kappa=pot.lipschitz, potential=pot,
                        sigma=ExpSigma(10.0), scheme=scheme)
@@ -83,3 +96,23 @@ def test_run_costs(monkeypatch, problem, scheme):
     assert bulk[0] == F_PER_STEP[scheme] * STEPS + 1
     assert stencil[0] == len(rows)
 
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_ei2_step_peak_memory(problem):
+    grid, cfg, u0 = _setup(problem, "ei2", PEAK_M)
+    # Two steps first: the second starts from a carried spectrum, and scipy's
+    # transform plans are cached by then.
+    state = step(grid, cfg, step(grid, cfg, initial_state(grid, cfg, u0), 0.05), 0.05)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step(grid, cfg, state, 0.05)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    fields = peak / (PEAK_M * PEAK_M * 8)
+    assert fields <= PEAK_FIELDS_PER_EI2_STEP[problem], fields

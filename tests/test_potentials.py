@@ -108,6 +108,66 @@ class TestFloryHuggins:
         with pytest.raises(DomainBoundError):
             self.pot.F(1.5)
 
+    @pytest.mark.parametrize("name", ["f", "F"])
+    @pytest.mark.parametrize("u", [1.0, -1.0, 1.5, -1.5, [np.nan, 1.5],
+                                   [-1.5, np.nan], np.full((3, 3), -1.0)],
+                             ids=str)
+    def test_domain_error_set(self, name, u):
+        with pytest.raises(DomainBoundError):
+            getattr(self.pot, name)(np.asarray(u))
+
+    @pytest.mark.parametrize("name", ["f", "F"])
+    @pytest.mark.parametrize("u", [np.nan, [np.nan, 0.5], np.nextafter(1.0, 0.0),
+                                   np.nextafter(-1.0, 0.0)], ids=str)
+    def test_no_domain_error_inside(self, name, u):
+        # NaN is not outside (-1, 1): it passes through, as |NaN| >= 1 is false.
+        getattr(self.pot, name)(np.asarray(u))
+
+
+def _allocating_forms(pot):
+    """f and F in the allocating forms of their first implementation: the
+    reference for the in-place bodies, which keep each element's arithmetic."""
+    if isinstance(pot, DoubleWell):
+        def f(u):
+            u = np.asarray(u)
+            return u * (1.0 - u * u)
+
+        def F(u):
+            w = 1.0 - np.asarray(u) ** 2
+            return 0.25 * w * w
+    else:
+        def f(u):
+            out = np.arctanh(np.asarray(u, dtype=float))
+            out *= -pot.theta
+            out += pot.theta_c * u
+            return out
+
+        def F(u):
+            u = np.asarray(u, dtype=float)
+            ent = np.log1p(u)
+            ent *= 1.0 + u
+            other = np.log1p(-u)
+            other *= 1.0 - u
+            ent += other
+            ent *= 0.5 * pot.theta
+            ent -= 0.5 * pot.theta_c * u**2
+            return ent
+    return {"f": f, "F": F}
+
+
+@pytest.mark.parametrize("name", ["f", "F"])
+@pytest.mark.parametrize("pot", [DoubleWell(), FloryHuggins()], ids=["dw", "fh"])
+def test_values_match_allocating_forms_bitwise(pot, name):
+    got, want = getattr(pot, name), _allocating_forms(pot)[name]
+    field = np.random.default_rng(8).uniform(-pot.beta, pot.beta, (32, 32))
+    points = [float(x) for x in field[0, :8]] + [0.0, -0.0, pot.beta, -pot.beta]
+    inputs = ([field, field[:5, :7].T]
+              + points + [np.asarray(x) for x in points])
+    for u in inputs:
+        a, b = got(u), want(u)
+        assert type(a) is type(b), u
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), u
+
 
 @pytest.mark.parametrize("pot", [DoubleWell(), FloryHuggins()])
 class TestReactionProperties:

@@ -337,6 +337,38 @@ class TestFailureModes:
             step_ei2(grid, cfg, bad, 0.1)
         assert exc.value.step == 5
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("scheme, call, label", [
+        ("ei1", 1, "ei1 step"), ("stab1", 1, "stab1 step"),
+        ("ei2", 1, "ei1 step"), ("ei2", 2, "ei2 step")],
+        ids=["ei1", "stab1", "ei2-predictor", "ei2-corrector"])
+    def test_nonfinite_field_raises_with_step(self, monkeypatch, scheme, call,
+                                              label, bad):
+        # The advance plants a non-finite entry in the field of its `call`-th
+        # use.  From u = 0 under the double well, f(u) = 0 at every node, so
+        # the entry reaches s only as 0 * inf or 0 * NaN = NaN.
+        advance = StabilizedOperator.advance_spectral
+        calls = [0]
+
+        def planted(self, *args, **kwargs):
+            u, u_hat = advance(self, *args, **kwargs)
+            calls[0] += 1
+            if calls[0] == call:
+                u[3, 5] = bad
+            return u, u_hat
+
+        monkeypatch.setattr(StabilizedOperator, "advance_spectral", planted)
+        grid = Grid(8)
+        cfg = dw_config(scheme)
+        state = initial_state(grid, cfg, np.zeros((8, 8)))
+        # An elementwise product of the planted entry with 0 is flagged by
+        # numpy as invalid; that NaN is what the step must catch.
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericFailure, match=f"after {label}") as exc:
+            step(grid, cfg, state, 0.1)
+        assert calls[0] == call
+        assert exc.value.step == 1
+
     def test_domain_error_raises_with_step(self):
         # |u| = 1 is outside the Flory-Huggins domain; the step index must
         # still be attached, with the domain error kept as the cause.
