@@ -25,9 +25,6 @@ from .schemes import (
     initial_state,
     reference_solution,
     step,
-    step_ei1,
-    step_ei2,
-    step_stab1,
 )
 from .timestep import AdaptiveStepping, UniformStepping
 from .verify import verify_suite
@@ -62,9 +59,6 @@ __all__ = [
     "reference_solution",
     "run",
     "step",
-    "step_ei1",
-    "step_ei2",
-    "step_stab1",
     "total_energy",
     "verify_suite",
 ]

@@ -3,6 +3,7 @@ and temporal convergence studies."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import asdict, dataclass, fields
@@ -140,13 +141,14 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
     """Step the configured scheme from t = 0 to t_end.
 
     Returns the final state and one diagnostics row per step (plus the t = 0
-    row).  When an output directory is set, streams diagnostics.csv and
-    writes the requested snapshots as it goes.  A failing step (a
-    ``NumericFailure``, ``InvariantViolation`` included) is given the step's
-    start time and size, leaves failure.json and the last good field in the
-    output directory, and is re-raised.  Snapshots without an output
-    directory are a ``ValueError``, and so, with ``check_invariants`` on, is
-    initial data outside [-beta, beta].
+    row).  When an output directory is set, removes an earlier run's
+    failure.json from it, then streams diagnostics.csv and writes the
+    requested snapshots as it goes.  A failing step (a ``NumericFailure``,
+    ``InvariantViolation`` included) is given the step's start time and size,
+    leaves failure.json and the last good field in the output directory, and
+    is re-raised.  Snapshots without an output directory are a
+    ``ValueError``, and so, with ``check_invariants`` on, is initial data
+    outside [-beta, beta].
     """
     grid, scfg, stepping, out_dir = cfg.grid, cfg.scheme, cfg.stepping, cfg.out_dir
     every = cfg.snapshot_every
@@ -162,6 +164,8 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
     csv = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, "failure.json"))
         # Line-buffered, so each row is in the file once it is made.
         csv = open(os.path.join(out_dir, "diagnostics.csv"), "w", buffering=1)
         csv.write(DIAGNOSTICS_HEADER + "\n")
@@ -195,7 +199,8 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
 def converge(grid: Grid, scfg: SchemeConfig, u0: np.ndarray, t_end: float,
              taus: list[float], tau_ref: float) -> dict:
     """L2 errors at t_end against a fine-step reference, plus the fitted
-    log-log slope of error versus step size."""
+    log-log slope of error versus step size.  The slope is NaN unless every
+    error is positive (from a fixed point such as u0 = 0 they are all 0)."""
     t_end = positive("t_end", t_end)
     n_steps = {tau: steps_to(t_end, tau, "tau") for tau in taus}
     if len(n_steps) < 2:
@@ -216,7 +221,9 @@ def converge(grid: Grid, scfg: SchemeConfig, u0: np.ndarray, t_end: float,
             "l2_error": grid.norm2(diff),
             "linf_error": grid.norm_inf(diff),
         })
-    log_tau = np.log([e["tau"] for e in entries])
-    log_err = np.log([e["l2_error"] for e in entries])
-    slope = float(np.polyfit(log_tau, log_err, 1)[0])
+    errors = [e["l2_error"] for e in entries]
+    slope = np.nan
+    if all(err > 0.0 for err in errors):
+        log_tau = np.log([e["tau"] for e in entries])
+        slope = float(np.polyfit(log_tau, np.log(errors), 1)[0])
     return {"entries": entries, "slope": slope}

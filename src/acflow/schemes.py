@@ -1,5 +1,5 @@
-"""One-step updates: first- and second-order exponential SAV schemes plus the
-stabilized semi-implicit variant, and a fine-step reference-solution driver.
+"""One-step updates: ``step`` runs the scheme a ``SchemeConfig`` names (ei1,
+ei2 or stab1), and a fine-step reference-solution driver does ei2.
 
 All steps are pure functions (state in, state out).  The auxiliary scalar s
 tracks the bulk energy; the shaping ratio g = sigma(s) / sigma(E1(u)) feeds
@@ -11,9 +11,8 @@ step does not transform it again.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,38 +109,12 @@ def _check_finite(s: float, label: str, step: int):
         raise NumericFailure(f"non-finite state after {label}", step=step)
 
 
-def _stepper(label: str):
-    """Turn a step body ``(grid, cfg, state, tau) -> (u, s, g, u_hat)`` into
-    a stepper: require a finite positive tau, give range and domain errors
-    the failing step, check the result is finite and fill in its bulk energy.
-    The body's other fields are released before that energy is evaluated;
-    u_hat, the spectrum of u, goes on the new state."""
-
-    def decorate(body):
-        @functools.wraps(body)
-        def wrapper(grid, cfg, state, tau):
-            positive("tau", tau)
-            n = state.step + 1
-            try:
-                u_new, s_new, g, u_hat = body(grid, cfg, state, tau)
-                _check_finite(s_new, label, n)
-                e1 = bulk_energy(grid, cfg.potential, u_new)
-            except (NumericRangeError, DomainBoundError) as exc:
-                raise NumericFailure(str(exc), step=n) from exc
-            return SolverState(u=u_new, s=s_new, t=state.t + tau, step=n, g=g,
-                               e1=e1, u_hat=u_hat)
-
-        return wrapper
-
-    return decorate
-
-
 def _first_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
                  tau: float, resolvent: bool):
     """One step with everything frozen at (u^n, s^n), advanced from the
-    spectrum of u^n.  The linear part is the exponential (ei1) or, with
-    ``resolvent``, the backward-Euler resolvent (stab1).  Returns
-    ``(u, s, g, u_hat)`` at the new state."""
+    spectrum of u^n: the exponential (ei1) or, with ``resolvent``, the
+    backward-Euler resolvent (stab1), (I + tau L) u^{n+1} = u^n + tau N.
+    Returns ``(u, s, g, u_hat)`` at the new state."""
     u, s = state.u, state.s
     g_n, fu, op, nonlin = _frozen_at(grid, cfg, u, s,
                                      state_bulk_energy(grid, cfg, state))
@@ -150,14 +123,8 @@ def _first_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
     return u_new, s - g_n * grid.inner(fu, u_new - u), g_n, u_hat_new
 
 
-@_stepper("ei1 step")
-def step_ei1(grid: Grid, cfg: SchemeConfig, state: SolverState, tau: float):
-    """First-order exponential step with the operator frozen at (u^n, s^n)."""
-    return _first_order(grid, cfg, state, tau, resolvent=False)
-
-
-@_stepper("ei2 step")
-def step_ei2(grid: Grid, cfg: SchemeConfig, state: SolverState, tau: float):
+def _second_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
+                  tau: float):
     """Second-order prediction-correction step.
 
     The predictor is one ei1 step; the corrector freezes the operator and the
@@ -187,30 +154,39 @@ def step_ei2(grid: Grid, cfg: SchemeConfig, state: SolverState, tau: float):
     return u_new, s_new, g_m, u_hat_new
 
 
-@_stepper("stab1 step")
-def step_stab1(grid: Grid, cfg: SchemeConfig, state: SolverState, tau: float):
-    """Semi-implicit variant: e^{-tau L} replaced by (I + tau L)^{-1}, so
-    (I + tau L) u^{n+1} = u^n + tau N; the s-update matches ei1."""
-    return _first_order(grid, cfg, state, tau, resolvent=True)
-
-
-_STEPPERS = {EI1: step_ei1, EI2: step_ei2, STAB1: step_stab1}
-
-
 def step(grid: Grid, cfg: SchemeConfig, state: SolverState,
          tau: float) -> SolverState:
-    return _STEPPERS[cfg.scheme](grid, cfg, state, tau)
+    """One step of the scheme ``cfg.scheme`` names: ei1 and stab1 take the
+    first-order step, ei2 corrects it at the midpoint.  tau must be finite and
+    positive; range and domain errors and a non-finite result are a
+    ``NumericFailure`` naming the step.  The stage's fields are released
+    before the new state's bulk energy is evaluated."""
+    positive("tau", tau)
+    n = state.step + 1
+    try:
+        if cfg.scheme == EI2:
+            u_new, s_new, g, u_hat = _second_order(grid, cfg, state, tau)
+        else:
+            u_new, s_new, g, u_hat = _first_order(grid, cfg, state, tau,
+                                                  resolvent=cfg.scheme == STAB1)
+        _check_finite(s_new, f"{cfg.scheme} step", n)
+        e1 = bulk_energy(grid, cfg.potential, u_new)
+    except (NumericRangeError, DomainBoundError) as exc:
+        raise NumericFailure(str(exc), step=n) from exc
+    return SolverState(u=u_new, s=s_new, t=state.t + tau, step=n, g=g, e1=e1,
+                       u_hat=u_hat)
 
 
 def reference_solution(grid: Grid, cfg: SchemeConfig, u0: np.ndarray,
                        t_end: float, tau_ref: float) -> SolverState:
-    """Ground-truth generator: ei2 at a fine uniform step.
+    """Ground truth: ei2 at a fine uniform step, whatever ``cfg.scheme`` is.
 
     Intended for convergence studies with tau_ref well below the sweep's
     smallest step (a factor of 32 or more).
     """
     n_steps = steps_to(t_end, tau_ref, "tau_ref")
+    cfg = replace(cfg, scheme=EI2)
     state = initial_state(grid, cfg, u0)
     for _ in range(n_steps):
-        state = step_ei2(grid, cfg, state, tau_ref)
+        state = step(grid, cfg, state, tau_ref)
     return state

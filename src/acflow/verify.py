@@ -18,7 +18,7 @@ from .expkernel import StabilizedOperator, dense_expm, dense_phi1m, phi1
 from .grid import BOUNDARIES, Grid, dense_laplacian
 from .harness import RunConfig, init_random, run
 from .potentials import DoubleWell, ExpSigma, FloryHuggins
-from .schemes import SchemeConfig
+from .schemes import SCHEMES, SchemeConfig
 from .timestep import UniformStepping
 
 PROFILES = ("lemmas", "invariants", "oracles")
@@ -129,7 +129,7 @@ def _trajectory_invariants(results, seed, kappa=None):
             f" [hypothesis violated: kappa={k} < Lipschitz bound {pot.lipschitz}]")
         try:
             grid = Grid(32)
-            for scheme in ("ei1", "ei2"):
+            for scheme in SCHEMES:
                 for tau in (0.01, 0.1, 1.0):
                     scfg = SchemeConfig(eps=0.01, kappa=k, potential=pot,
                                         sigma=ExpSigma(1.0), scheme=scheme)

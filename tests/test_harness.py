@@ -351,6 +351,25 @@ class TestOutputFiles:
         assert record["last_good_row"]["step"] == 2
         assert (out / record["field"]).exists()
 
+    def test_success_removes_an_earlier_failure_record(self, monkeypatch,
+                                                        tmp_path):
+        def fail_at_3(state):
+            if state.step == 3:
+                raise NumericFailure("injected", step=3)
+            return state
+
+        out = tmp_path / "traj"
+        u0, cfg, _ = _recorded_run(monkeypatch, out, fail_at=fail_at_3)
+        with pytest.raises(NumericFailure):
+            run(u0, cfg)
+        assert (out / "failure.json").exists()
+        (out / "notes.txt").write_text("kept")
+        monkeypatch.undo()
+        _, rows = run(u0, cfg)
+        assert rows[-1].step == 6
+        assert not (out / "failure.json").exists()
+        assert (out / "notes.txt").read_text() == "kept"
+
 
 class TestConverge:
     def test_errors_decrease_and_slope(self):
@@ -360,6 +379,14 @@ class TestConverge:
         errs = [e["l2_error"] for e in report["entries"]]
         assert errs == sorted(errs, reverse=True)
         assert 0.7 <= report["slope"] <= 1.3
+
+    def test_exact_fixed_point_has_no_slope(self):
+        # From u0 = 0 every error is exactly 0; no log-log line can be fitted.
+        grid = Grid(16)
+        report = converge(grid, dw_config(), init_sine(grid, 0.0), 1.0,
+                          taus=[1 / 4, 1 / 8], tau_ref=1 / 256)
+        assert [e["l2_error"] for e in report["entries"]] == [0.0, 0.0]
+        assert np.isnan(report["slope"])
 
     def test_rejects_coarse_reference(self):
         grid = Grid(16)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import acflow
 from acflow.errors import DomainBoundError, NumericFailure
 from acflow.expkernel import StabilizedOperator, dense_expm, dense_phi1m
 from acflow.grid import Grid
@@ -22,10 +23,11 @@ from acflow.schemes import (
     reference_solution,
     state_spectrum,
     step,
-    step_ei1,
-    step_ei2,
-    step_stab1,
 )
+
+
+def test_every_public_name_resolves():
+    assert [name for name in acflow.__all__ if not hasattr(acflow, name)] == []
 
 
 def dw_config(scheme="ei1", a=1.0, eps=0.01):
@@ -64,22 +66,23 @@ class TestNonlinearTerm:
             assert np.max(np.abs(out)) <= cfg.kappa * cfg.potential.beta * g + 1e-12
 
 
-@pytest.mark.parametrize("stepper", [step_ei1, step_ei2, step_stab1])
+@pytest.mark.parametrize("scheme", ["ei1", "ei2", "stab1"],
+                         ids=lambda scheme: f"step_{scheme}")
 @pytest.mark.parametrize("tau", [0.01, 1.0])
 class TestFixedPoints:
-    def test_pure_state_invariant(self, stepper, tau):
+    def test_pure_state_invariant(self, scheme, tau):
         grid = Grid(16)
-        cfg = dw_config()
+        cfg = dw_config(scheme)
         state = initial_state(grid, cfg, np.ones((16, 16)))
-        out = stepper(grid, cfg, state, tau)
+        out = step(grid, cfg, state, tau)
         assert np.max(np.abs(out.u - 1.0)) <= 1e-14
         assert abs(out.s) <= 1e-14
 
-    def test_zero_state_invariant(self, stepper, tau):
+    def test_zero_state_invariant(self, scheme, tau):
         grid = Grid(16)
-        cfg = dw_config()
+        cfg = dw_config(scheme)
         state = initial_state(grid, cfg, np.zeros((16, 16)))
-        out = stepper(grid, cfg, state, tau)
+        out = step(grid, cfg, state, tau)
         assert np.max(np.abs(out.u)) == 0.0
         assert out.s == state.s
 
@@ -105,7 +108,7 @@ class TestDenseOracleAgreement:
             u = rng.uniform(-1.0, 1.0, (8, 8))
             state = initial_state(grid, cfg, u)
             tau = rng.uniform(1e-3, 1.0)
-            got = step_ei1(grid, cfg, state, tau)
+            got = step(grid, cfg, state, tau)
             want_u, want_s = self.dense_ei1(grid, cfg, state, tau)
             assert grid.norm2(got.u - want_u) <= 1e-9 * max(1.0, grid.norm2(want_u))
             assert got.s == pytest.approx(want_s, rel=1e-9, abs=1e-12)
@@ -124,7 +127,7 @@ class TestDenseOracleAgreement:
             N = (g_n * (cfg.potential.f(u) + cfg.kappa * u)).ravel()
             want = np.linalg.solve(np.eye(64) + tau * L,
                                    u.ravel() + tau * N).reshape(8, 8)
-            got = step_stab1(grid, cfg, state, tau)
+            got = step(grid, cfg, state, tau)
             assert grid.norm2(got.u - want) <= 1e-10 * max(1.0, grid.norm2(want))
 
 
@@ -138,11 +141,11 @@ class TestOrderOfAccuracy:
         base = reference_solution(grid, cfg, u0, 0.5, 1.0 / 256)
         errs = []
         for tau in (0.25, 0.125):
-            one = step_ei2(grid, cfg, base, tau)
+            one = step(grid, cfg, base, tau)
             fine = base
             n = 512
             for _ in range(n):
-                fine = step_ei2(grid, cfg, fine, tau / n)
+                fine = step(grid, cfg, fine, tau / n)
             errs.append(grid.norm2(one.u - fine.u))
         ratio = errs[0] / errs[1]
         assert 6.5 <= ratio <= 9.5, f"local error ratio {ratio}"
@@ -156,6 +159,15 @@ class TestOrderOfAccuracy:
         d1 = grid.norm2(finals[0] - finals[1])
         d2 = grid.norm2(finals[1] - finals[2])
         assert 3.5 <= d1 / d2 <= 4.5
+
+    def test_reference_is_ei2_whatever_the_scheme(self):
+        grid = Grid(16)
+        u0 = init_sine(grid, 0.1)
+        refs = [reference_solution(grid, dw_config(scheme), u0, 0.5, 1.0 / 64)
+                for scheme in ("ei2", "ei1", "stab1")]
+        for ref in refs[1:]:
+            assert ref.u.tobytes() == refs[0].u.tobytes()
+            assert (ref.s, ref.g, ref.e1) == (refs[0].s, refs[0].g, refs[0].e1)
 
     def test_reference_trivials(self):
         grid = Grid(16)
@@ -217,8 +229,8 @@ class TestDegenerateSigma:
                            sigma=ConstantSigma(), scheme="ei1")
         u0 = init_random(grid, -0.8, 0.8, 9)
         s0 = bulk_energy(grid, pot, u0)
-        a = step_ei1(grid, cfg, SolverState(u=u0, s=s0), 0.1)
-        b = step_ei1(grid, cfg, SolverState(u=u0, s=s0 + 123.4), 0.1)
+        a = step(grid, cfg, SolverState(u=u0, s=s0), 0.1)
+        b = step(grid, cfg, SolverState(u=u0, s=s0 + 123.4), 0.1)
         assert np.array_equal(a.u, b.u)
         assert a.g == 1.0 and b.g == 1.0
 
@@ -322,7 +334,7 @@ class TestFailureModes:
         cfg = dw_config()
         bad = SolverState(u=np.full((8, 8), 0.1), s=np.inf, t=0.0, step=4)
         with pytest.raises(NumericFailure) as exc:
-            step_ei1(grid, cfg, bad, 0.1)
+            step(grid, cfg, bad, 0.1)
         assert exc.value.step == 5
 
     def test_nonfinite_predictor_raises_with_step(self):
@@ -334,7 +346,7 @@ class TestFailureModes:
                            sigma=ConstantSigma(), scheme="ei2")
         bad = SolverState(u=np.full((8, 8), 0.1), s=np.nan, step=4)
         with pytest.raises(NumericFailure, match="after ei1 step") as exc:
-            step_ei2(grid, cfg, bad, 0.1)
+            step(grid, cfg, bad, 0.1)
         assert exc.value.step == 5
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
@@ -379,7 +391,7 @@ class TestFailureModes:
         u = np.zeros((8, 8))
         u[0, 0] = 1.0
         with pytest.raises(NumericFailure) as exc:
-            step_ei2(grid, cfg, SolverState(u=u, s=0.0, step=4), 0.1)
+            step(grid, cfg, SolverState(u=u, s=0.0, step=4), 0.1)
         assert exc.value.step == 5
         assert isinstance(exc.value.__cause__, DomainBoundError)
 
@@ -388,4 +400,4 @@ class TestFailureModes:
         cfg = dw_config()
         state = initial_state(grid, cfg, np.zeros((8, 8)))
         with pytest.raises(ValueError):
-            step_ei1(grid, cfg, state, 0.0)
+            step(grid, cfg, state, 0.0)
