@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import positive
-from .grid import Grid, dense_laplacian
+from .grid import Grid, dense_laplacian, row_strips
 
 
 def phi1(z):
@@ -52,20 +52,24 @@ class StabilizedOperator:
         backward-Euler step (stab1), a = b = (I + tau L)^{-1}.  Returns the
         field and the spectrum it was inverted from, which a step carries to
         the next one in place of transforming the field again."""
-        # z = -tau L, built per call: an operator holds no field between uses.
-        z = np.multiply(self.eps2, self.grid.multiplier_eigenvalues)
-        np.subtract(self.c, z, out=z)
-        z *= -positive("tau", tau)
+        positive("tau", tau)
         combined = self.grid.fast_forward(nonlin)
-        combined *= tau
-        if resolvent:  # a = b = 1 / (1 - z), written over z
-            np.subtract(1.0, z, out=z)
-            a = np.divide(1.0, z, out=z)
-            combined *= a
-        else:  # b = phi1(z) first, then a = e^z written over z
-            combined *= phi1(z)
-            a = np.exp(z, out=z)
-        combined += v_hat * a
+        # z = -tau L, built per call and per strip of the spectrum: an
+        # operator holds no field between uses.
+        for lam, c_hat, v in row_strips(self.grid.multiplier_eigenvalues,
+                                        combined, v_hat):
+            z = np.multiply(self.eps2, lam)
+            np.subtract(self.c, z, out=z)
+            z *= -tau
+            c_hat *= tau
+            if resolvent:  # a = b = 1 / (1 - z), written over z
+                np.subtract(1.0, z, out=z)
+                a = np.divide(1.0, z, out=z)
+                c_hat *= a
+            else:  # b = phi1(z) first, then a = e^z written over z
+                c_hat *= phi1(z)
+                a = np.exp(z, out=z)
+            c_hat += v * a
         del z, a  # not held through the inverse transform
         return self.grid.fast_inverse(combined), combined
 

@@ -138,6 +138,24 @@ def _sum_of_products(v: np.ndarray, w: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", v, w))
 
 
+# Elementwise chains run over row strips of at most this many elements,
+# 128 KiB of float64: each pass of a chain and its temporaries stay in a
+# core's L2 instead of streaming full-size fields through memory.
+STRIP_SIZE = 2**14
+
+
+def row_strips(*arrays: np.ndarray):
+    """Aligned row pieces of arrays of one shape, covering every row once and
+    in order, each of at most STRIP_SIZE elements (or one row, if a row is
+    longer).  Arrays of STRIP_SIZE elements or fewer are one piece: the
+    arrays themselves, with no view made."""
+    a = arrays[0]
+    if a.size <= STRIP_SIZE:
+        return (arrays,)
+    rows = max(1, STRIP_SIZE // (a.size // len(a)))
+    return [tuple(x[i:i + rows] for x in arrays) for i in range(0, len(a), rows)]
+
+
 def dense_laplacian(grid: Grid) -> np.ndarray:
     """Explicit (M^2, M^2) matrix of the five-point Laplacian. Oracle only."""
     if grid.m > 16:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainBoundError, NumericRangeError, positive
-from .grid import Grid
+from .grid import Grid, row_strips
 
 
 def _value(out: np.ndarray):
@@ -34,18 +34,22 @@ class DoubleWell:
     def f(self, u):
         # u (1 - u^2), each operation written over one buffer.
         u = np.asarray(u, dtype=float)
-        out = np.multiply(u, u, out=np.empty_like(u))
-        np.subtract(1.0, out, out=out)
-        out *= u
+        out = np.empty_like(u)
+        for us, outs in row_strips(u, out):
+            np.multiply(us, us, out=outs)
+            np.subtract(1.0, outs, out=outs)
+            outs *= us
         return _value(out)
 
     def F(self, u):
         # w = 1 - u^2, then (0.25 w) w: the arithmetic of 0.25 * w * w.
         u = np.asarray(u, dtype=float)
-        w = np.multiply(u, u, out=np.empty_like(u))
-        np.subtract(1.0, w, out=w)
-        out = np.multiply(0.25, w, out=np.empty_like(u))
-        out *= w
+        out = np.empty_like(u)
+        for us, outs in row_strips(u, out):
+            w = np.multiply(us, us, out=np.empty_like(us))
+            np.subtract(1.0, w, out=w)
+            np.multiply(0.25, w, out=outs)
+            outs *= w
         return _value(out)
 
 
@@ -83,44 +87,56 @@ class FloryHuggins:
     def _fprime(self, u: float) -> float:
         return -self.theta / (1.0 - u * u) + self.theta_c
 
-    def _check_domain(self, u):
-        # One read per bound and no |u| copy.  fmax and fmin skip NaN as
-        # |u| >= 1 does, so a NaN entry alone does not raise; an empty u
-        # reduces to the initial values and passes.
-        hi = float(np.fmax.reduce(u, axis=None, initial=-np.inf))
-        lo = float(np.fmin.reduce(u, axis=None, initial=np.inf))
+    def _check_domain(self, u, piece):
+        # Checks a strip of u just before it is computed, with one read per
+        # bound and no |u| copy; only the message reads the whole field.
+        # fmax and fmin skip NaN as |u| >= 1 does, so a NaN entry alone does
+        # not raise; an empty u reduces to the initial values and passes.
+        hi, lo = _max_min(piece)
         if hi >= 1.0 or lo <= -1.0:
+            hi, lo = _max_min(u)
             raise DomainBoundError("Flory-Huggins evaluation outside (-1, 1): "
                                    f"max |u| = {max(hi, -lo)}")
 
     def f(self, u):
         u = np.asarray(u, dtype=float)
-        self._check_domain(u)
         # theta_c u - theta artanh(u), accumulated in place; artanh keeps the
         # relative accuracy that (1/2) log((1 - u)/(1 + u)) loses near 0.
-        out = np.arctanh(u)
-        out *= -self.theta
-        out += self.theta_c * u
-        return out
+        out = np.empty_like(u)
+        for us, outs in row_strips(u, out):
+            self._check_domain(u, us)
+            np.arctanh(us, out=outs)
+            outs *= -self.theta
+            outs += self.theta_c * us
+        return _value(out)
 
     def F(self, u):
         u = np.asarray(u, dtype=float)
-        self._check_domain(u)
-        # (1+u) log1p(u) + (1-u) log1p(-u), accumulated in three buffers; the
-        # two terms swap under u -> -u, so F(-u) == F(u) exactly.
-        ent = np.log1p(u, out=np.empty_like(u))
-        t = np.add(1.0, u, out=np.empty_like(u))
-        ent *= t
-        other = np.negative(u, out=np.empty_like(u))
-        np.log1p(other, out=other)
-        np.subtract(1.0, u, out=t)
-        other *= t
-        ent += other
-        ent *= 0.5 * self.theta
-        np.multiply(u, u, out=other)  # u**2
-        other *= 0.5 * self.theta_c
-        ent -= other
+        # (1+u) log1p(u) + (1-u) log1p(-u), accumulated in the result and two
+        # strip buffers; the two terms swap under u -> -u, so F(-u) == F(u)
+        # exactly.
+        ent = np.empty_like(u)
+        for us, es in row_strips(u, ent):
+            self._check_domain(u, us)
+            np.log1p(us, out=es)
+            t = np.add(1.0, us, out=np.empty_like(us))
+            es *= t
+            other = np.negative(us, out=np.empty_like(us))
+            np.log1p(other, out=other)
+            np.subtract(1.0, us, out=t)
+            other *= t
+            es += other
+            es *= 0.5 * self.theta
+            np.multiply(us, us, out=other)  # u**2
+            other *= 0.5 * self.theta_c
+            es -= other
         return _value(ent)
+
+
+def _max_min(u):
+    """(max u, min u), skipping NaN."""
+    return (float(np.fmax.reduce(u, axis=None, initial=-np.inf)),
+            float(np.fmin.reduce(u, axis=None, initial=np.inf)))
 
 
 POTENTIALS = (DoubleWell.name, FloryHuggins.name)

@@ -6,7 +6,8 @@ bulk energy E1(u) from the step that made it, and a diagnostics row
 evaluates the gradient once.  Every step carries the spectrum of the field
 it makes to the next step, so only the first step of a trajectory
 transforms its u^n.  An ei2 step releases each temporary at its last use,
-which bounds the memory it traces.
+which bounds the memory it traces; at M=512 the elementwise chains' row
+strips bound it lower still.
 """
 
 import tracemalloc
@@ -51,6 +52,15 @@ def _counter(monkeypatch, owner, name):
 # field for the Python objects a run allocates.
 PEAK_M = 64
 PEAK_FIELDS_PER_EI2_STEP = {"periodic-dw": 6.69, "neumann-fh": 6.05}
+
+# At M=512 the potentials and the spectral advance run in row strips of
+# 2**14 elements, so each temporary of their chains is 1/16 field, not one.
+# Measured with numpy 2.4: one ei2 step 5.003 fields (Neumann FH) and 5.007
+# (periodic DW), one Flory-Huggins F 1.190; the whole-field kernels measured
+# 6.00, 5.57 and 3.00.
+STRIP_M = 512
+PEAK_FIELDS_PER_STRIP_EI2_STEP = {"periodic-dw": 5.02, "neumann-fh": 5.02}
+PEAK_FIELDS_PER_STRIP_F = 1.2
 
 
 def _setup(problem, scheme, m=16):
@@ -97,22 +107,43 @@ def test_run_costs(monkeypatch, problem, scheme):
     assert stencil[0] == len(rows)
 
 
-@pytest.mark.parametrize("problem", PROBLEMS)
-def test_ei2_step_peak_memory(problem):
-    grid, cfg, u0 = _setup(problem, "ei2", PEAK_M)
-    # Two steps first: the second starts from a carried spectrum, and scipy's
-    # transform plans are cached by then.
-    state = step(grid, cfg, step(grid, cfg, initial_state(grid, cfg, u0), 0.05), 0.05)
+def _peak_fields(m, fn):
+    """Peak bytes traced while fn() runs, in fields of m*m floats."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        step(grid, cfg, state, 0.05)
+        fn()
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    fields = peak / (PEAK_M * PEAK_M * 8)
+    return peak / (m * m * 8)
+
+
+def _ei2_step_peak(problem, m):
+    grid, cfg, u0 = _setup(problem, "ei2", m)
+    # Two steps first: the second starts from a carried spectrum, and scipy's
+    # transform plans are cached by then.
+    state = step(grid, cfg, step(grid, cfg, initial_state(grid, cfg, u0), 0.05), 0.05)
+    return _peak_fields(m, lambda: step(grid, cfg, state, 0.05))
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_ei2_step_peak_memory(problem):
+    fields = _ei2_step_peak(problem, PEAK_M)
     assert fields <= PEAK_FIELDS_PER_EI2_STEP[problem], fields
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_ei2_step_peak_memory_in_strips(problem):
+    fields = _ei2_step_peak(problem, STRIP_M)
+    assert fields <= PEAK_FIELDS_PER_STRIP_EI2_STEP[problem], fields
+
+
+def test_flory_huggins_F_peak_memory_in_strips():
+    grid, cfg, u0 = _setup("neumann-fh", "ei2", STRIP_M)
+    fields = _peak_fields(STRIP_M, lambda: cfg.potential.F(u0))
+    assert fields <= PEAK_FIELDS_PER_STRIP_F, fields

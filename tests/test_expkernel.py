@@ -68,25 +68,28 @@ class TestSpectralKernels:
         assert grid8.norm2(fused - split) <= 1e-13 * grid8.norm2(split)
 
     def test_kernels_match_direct_formulas_bitwise(self, grid8):
-        # The operator builds its eigenvalues per call, in place; the
-        # arithmetic must stay that of the formulas.
-        rng = np.random.default_rng(5)
-        v = rng.standard_normal((8, 8))
-        n = rng.standard_normal((8, 8))
-        c, eps2, tau = 1.3, 3e-3, 0.21
-        eigs = c - eps2 * grid8.multiplier_eigenvalues
-        z = -tau * eigs
-        exact = grid8.fast_inverse(grid8.fast_forward(n) * tau * phi1(z)
-                                   + grid8.fast_forward(v) * np.exp(z))
-        r = 1.0 / (1.0 + tau * eigs)
-        resolvent = grid8.fast_inverse(grid8.fast_forward(n) * tau * r
-                                       + grid8.fast_forward(v) * r)
-        op = StabilizedOperator(grid8, c, eps2)
-        v_hat = grid8.fast_forward(v)
-        for _ in range(2):  # nothing the first call computes is reused
-            assert op.advance(tau, v, n).tobytes() == exact.tobytes()
-            stab1 = op.advance_spectral(tau, v_hat, n, resolvent=True)[0]
-            assert stab1.tobytes() == resolvent.tobytes()
+        # The operator builds its eigenvalues per call, in place, and at
+        # M=300 per row strip of the spectrum, the last one ragged; the
+        # arithmetic must stay that of the whole-field formulas.
+        for m in (8, 300):
+            grid = Grid(m, 1.0, grid8.boundary)
+            rng = np.random.default_rng(5)
+            v = rng.standard_normal((m, m))
+            n = rng.standard_normal((m, m))
+            c, eps2, tau = 1.3, 3e-3, 0.21
+            eigs = c - eps2 * grid.multiplier_eigenvalues
+            z = -tau * eigs
+            exact = grid.fast_inverse(grid.fast_forward(n) * tau * phi1(z)
+                                      + grid.fast_forward(v) * np.exp(z))
+            r = 1.0 / (1.0 + tau * eigs)
+            resolvent = grid.fast_inverse(grid.fast_forward(n) * tau * r
+                                          + grid.fast_forward(v) * r)
+            op = StabilizedOperator(grid, c, eps2)
+            v_hat = grid.fast_forward(v)
+            for _ in range(2):  # nothing the first call computes is reused
+                assert op.advance(tau, v, n).tobytes() == exact.tobytes()
+                stab1 = op.advance_spectral(tau, v_hat, n, resolvent=True)[0]
+                assert stab1.tobytes() == resolvent.tobytes()
 
     def test_rejects_nonpositive_coefficient(self):
         with pytest.raises(ValueError):

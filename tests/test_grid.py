@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acflow.grid import Grid, dense_laplacian
+from acflow.grid import STRIP_SIZE, Grid, dense_laplacian, row_strips
 from acflow.verify import summation_by_parts
 
 
@@ -165,6 +165,33 @@ class TestTransforms:
         b = grid.fast_inverse(grid.fast_forward(v.copy())
                               * grid.multiplier_eigenvalues.copy())
         assert np.array_equal(a, b)
+
+
+class TestRowStrips:
+    @pytest.mark.parametrize("m", [127, 128, 129, 300, 512])
+    @pytest.mark.parametrize("boundary", ["periodic", "neumann"])
+    def test_strips_cover_every_row_once_in_order(self, m, boundary):
+        # Spectra in the layout of multiplier_eigenvalues: the rfft2
+        # half-spectrum (periodic) and a real M x M field (Neumann).
+        lam = Grid(m, 1.0, boundary).multiplier_eigenvalues
+        a = np.arange(lam.size, dtype=float).reshape(lam.shape)
+        b = a.astype(complex)
+        pieces = row_strips(a, b)
+        for pa, pb in pieces:
+            assert pa.size <= STRIP_SIZE
+            assert np.shares_memory(pa, a) and np.shares_memory(pb, b)
+            assert np.array_equal(pb, pa)
+        assert np.array_equal(np.concatenate([pa for pa, _ in pieces]), a)
+        assert (len(pieces) == 1) == (a.size <= STRIP_SIZE)
+
+    @pytest.mark.parametrize("a", [np.zeros((128, 65), complex),
+                                   np.zeros((128, 128)), np.asarray(0.5),
+                                   np.zeros(STRIP_SIZE)],
+                             ids=["spectrum-128", "field-128", "0-d", "1-d"])
+    def test_small_arrays_are_one_piece_of_themselves(self, a):
+        b = np.empty_like(a)
+        (piece,) = row_strips(a, b)
+        assert piece[0] is a and piece[1] is b
 
 
 class TestValidation:

@@ -5,7 +5,9 @@ a 32 x 32 grid, once on a periodic double-well problem and once on a Neumann
 Flory-Huggins problem, both with ExpSigma(10).  The final s, g, ||u||_2,
 max|u| and sum(u) were recorded at %.17g from the original step bodies; a
 refactor that is meant to preserve the arithmetic must reproduce them to
-1e-12 relative.
+1e-12 relative.  The same runs on a 300 x 300 grid, 5 steps each, were
+recorded from the whole-field kernels: there the potentials and the spectral
+advance run in row strips, the last one ragged.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from acflow.schemes import SchemeConfig, initial_state, step
 
 SEED = 7
 STEPS = 20
+STRIP_M, STRIP_STEPS = 300, 5
 TAU = 0.05
 
 PROBLEMS = {
@@ -36,16 +39,37 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("scheme, problem", sorted(PINNED))
-def test_trajectory_matches_pins(scheme, problem):
+# (scheme, problem): the same quantities after STRIP_STEPS steps at M=STRIP_M.
+PINNED_STRIPS = {
+    ("ei1", "periodic-dw"): (0.27402503415929919, 1.3134690864303458, 0.083536875124799043, 0.38801486792562034, 101.02923515527239),
+    ("ei2", "periodic-dw"): (0.259383139946821, 1.1337936683600895, 0.080374349814457652, 0.37591415419139262, 100.90944557978685),
+    ("stab1", "periodic-dw"): (0.26480202055665075, 1.2000032803977068, 0.086306672578427959, 0.39990528212106058, 97.534340999055331),
+    ("ei1", "neumann-fh"): (0.030448252855428074, 1.3939077518286467, 0.087455876703132943, 0.43683935568804805, 93.929398715644808),
+    ("ei2", "neumann-fh"): (0.050687648605945643, 1.7054976700159339, 0.086801509094208001, 0.42842452526285041, 101.93233447922262),
+    ("stab1", "neumann-fh"): (0.020716075853001521, 1.2700136142873977, 0.094389702594330993, 0.45974966298032249, 90.314318642793722),
+}
+
+
+def _final(scheme, problem, m, steps):
     boundary, potential_cls = PROBLEMS[problem]
-    grid = Grid(32, 1.0, boundary)
+    grid = Grid(m, 1.0, boundary)
     pot = potential_cls()
     cfg = SchemeConfig(eps=0.01, kappa=pot.lipschitz, potential=pot,
                        sigma=ExpSigma(10.0), scheme=scheme)
     state = initial_state(grid, cfg, init_random(grid, -0.8, 0.8, SEED))
-    for _ in range(STEPS):
+    for _ in range(steps):
         state = step(grid, cfg, state, TAU)
-    got = (state.s, state.g, grid.norm2(state.u), grid.norm_inf(state.u),
-           float(np.sum(state.u)))
+    return (state.s, state.g, grid.norm2(state.u), grid.norm_inf(state.u),
+            float(np.sum(state.u)))
+
+
+@pytest.mark.parametrize("scheme, problem", sorted(PINNED))
+def test_trajectory_matches_pins(scheme, problem):
+    got = _final(scheme, problem, 32, STEPS)
     assert got == pytest.approx(PINNED[scheme, problem], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scheme, problem", sorted(PINNED_STRIPS))
+def test_strip_trajectory_matches_pins(scheme, problem):
+    got = _final(scheme, problem, STRIP_M, STRIP_STEPS)
+    assert got == pytest.approx(PINNED_STRIPS[scheme, problem], rel=1e-12, abs=0.0)

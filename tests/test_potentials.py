@@ -117,6 +117,16 @@ class TestFloryHuggins:
             getattr(self.pot, name)(np.asarray(u))
 
     @pytest.mark.parametrize("name", ["f", "F"])
+    def test_domain_error_in_last_strip(self, name):
+        # Each strip is checked just before it is computed; the message still
+        # gives the whole field's max |u|, and no strip is computed out of
+        # the domain, which would warn.
+        u = np.zeros((300, 300))
+        u[-1, -1] = -1.5
+        with pytest.raises(DomainBoundError, match=r"\(-1, 1\): max \|u\| = 1\.5$"):
+            getattr(self.pot, name)(u)
+
+    @pytest.mark.parametrize("name", ["f", "F"])
     @pytest.mark.parametrize("u", [np.nan, [np.nan, 0.5], np.nextafter(1.0, 0.0),
                                    np.nextafter(-1.0, 0.0)], ids=str)
     def test_no_domain_error_inside(self, name, u):
@@ -159,9 +169,13 @@ def _allocating_forms(pot):
 @pytest.mark.parametrize("pot", [DoubleWell(), FloryHuggins()], ids=["dw", "fh"])
 def test_values_match_allocating_forms_bitwise(pot, name):
     got, want = getattr(pot, name), _allocating_forms(pot)[name]
-    field = np.random.default_rng(8).uniform(-pot.beta, pot.beta, (32, 32))
+    rng = np.random.default_rng(8)
+    field = rng.uniform(-pot.beta, pot.beta, (32, 32))
+    # 300 and 512 run in row strips, the last of 300's ragged, and so does a
+    # transposed view, whose strips are columns of the array beneath.
+    strips = [rng.uniform(-pot.beta, pot.beta, (m, m)) for m in (300, 512)]
     points = [float(x) for x in field[0, :8]] + [0.0, -0.0, pot.beta, -pot.beta]
-    inputs = ([field, field[:5, :7].T]
+    inputs = ([field, field[:5, :7].T, *strips, strips[0].T]
               + points + [np.asarray(x) for x in points])
     for u in inputs:
         a, b = got(u), want(u)
