@@ -19,13 +19,7 @@ from .potentials import (
     modified_energy,
     total_energy,
 )
-from .schemes import (
-    SchemeConfig,
-    SolverState,
-    initial_state,
-    reference_solution,
-    step,
-)
+from .schemes import SchemeConfig, SolverState, initial_state, reference_solution, step
 from .timestep import AdaptiveStepping, UniformStepping
 from .verify import verify_suite
 

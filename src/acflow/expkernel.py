@@ -54,6 +54,7 @@ class StabilizedOperator:
         the next one in place of transforming the field again."""
         positive("tau", tau)
         combined = self.grid.fast_forward(nonlin)
+        del nonlin  # freed here when the caller handed over its last reference
         # z = -tau L, built per call and per strip of the spectrum: an
         # operator holds no field between uses.
         for lam, c_hat, v in row_strips(self.grid.multiplier_eigenvalues,

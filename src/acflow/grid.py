@@ -32,18 +32,14 @@ class Grid:
         self.h = self.length / self.m
         # Laplacian eigenvalues in the layout of ``fast_forward``'s spectra.
         self.multiplier_eigenvalues = self._build_multiplier_eigenvalues()
+        self.energy_weights = self._build_energy_weights()
 
     # -- geometry ---------------------------------------------------------
 
-    def coords(self) -> np.ndarray:
-        """1D node coordinates along one axis."""
-        i = np.arange(self.m, dtype=float)
-        if self.boundary == PERIODIC:
-            return (i + 1.0) * self.h
-        return (i + 0.5) * self.h
-
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        x = self.coords()
+        """Node coordinates (x, y) at every mesh point."""
+        offset = 1.0 if self.boundary == PERIODIC else 0.5
+        x = (np.arange(self.m, dtype=float) + offset) * self.h
         return np.meshgrid(x, x, indexing="ij")
 
     def check(self, v: np.ndarray) -> np.ndarray:
@@ -83,7 +79,9 @@ class Grid:
         return self.h * self.h * float(np.sum(v))
 
     def inner(self, v: np.ndarray, w: np.ndarray) -> float:
-        return self.h * self.h * _sum_of_products(v, w)
+        # einsum gives the same bits for the same inputs on every run; np.dot
+        # (BLAS ddot) does not, as its bits change with the thread count.
+        return self.h * self.h * float(np.einsum("ij,ij->", v, w))
 
     def norm2(self, v: np.ndarray) -> float:
         return float(np.sqrt(self.inner(v, v)))
@@ -92,19 +90,6 @@ class Grid:
         # max |v| = max(max v, -min v) without an |v| copy; abs() makes a
         # zero result +0.0 whatever the signs of the field's zeros.
         return abs(max(float(np.max(v)), -float(np.min(v))))
-
-    def grad_norm2_sq(self, v: np.ndarray) -> float:
-        """inner(gx, gx) + inner(gy, gy) for (gx, gy) = ``gradient(v)``,
-        bitwise, in one scratch buffer: the y pass writes through transposes,
-        so the buffer holds gy in its own layout and sums in its order."""
-        d = np.empty((self.m, self.m))
-        total = 0.0
-        for w, dw in ((v, d), (v.T, d.T)):
-            np.subtract(w[1:], w[:-1], out=dw[:-1])
-            dw[-1] = w[0] - w[-1] if self.boundary == PERIODIC else 0.0
-            d /= self.h
-            total += self.h * self.h * _sum_of_products(d, d)
-        return total
 
     # -- eigenbasis and fast transforms (hot path) ---------------------------
 
@@ -119,6 +104,19 @@ class Grid:
             return lam[:, None] + half[None, :]
         return lam[:, None] + lam[None, :]
 
+    def _build_energy_weights(self) -> np.ndarray:
+        """W with ||grad_h v||^2 = -(v, Lap_h v) = -h^2 sum(W x x) for x the
+        float view of ``fast_forward(v)``, by Parseval in the eigenbasis."""
+        lam = self.multiplier_eigenvalues
+        if self.boundary == NEUMANN:
+            return lam  # the orthonormal DCT-II: W is lambda itself, not a copy
+        # rfft2 is unnormalized, so its sum is M^2 too large, and it keeps one
+        # column of each conjugate pair: every column but 0 and, for even M,
+        # M/2 counts twice.  Each weight repeats for a coefficient's (re, im).
+        k = np.arange(lam.shape[1])
+        w = np.where((k == 0) | (2 * k == self.m), 1.0, 2.0) / self.m**2
+        return np.repeat(lam * w, 2, axis=1)
+
     def fast_forward(self, v: np.ndarray) -> np.ndarray:
         """Forward transform in the layout of ``multiplier_eigenvalues``."""
         if self.boundary == PERIODIC:
@@ -129,13 +127,6 @@ class Grid:
         if self.boundary == PERIODIC:
             return scipy.fft.irfft2(c, s=(self.m, self.m))
         return scipy.fft.idctn(c, type=2, norm="ortho")
-
-
-def _sum_of_products(v: np.ndarray, w: np.ndarray) -> float:
-    """sum(v * w) in one read of each field and no product temporary.
-    einsum gives the same bits for the same inputs on every run; np.dot
-    (BLAS ddot) does not, as its bits change with the thread count."""
-    return float(np.einsum("ij,ij->", v, w))
 
 
 # Elementwise chains run over row strips of at most this many elements,

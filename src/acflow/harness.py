@@ -14,7 +14,7 @@ from .errors import NumericFailure, positive, whole
 from .grid import Grid
 from .potentials import interface_energy
 from .schemes import (SchemeConfig, SolverState, initial_state, reference_solution,
-                      state_bulk_energy, step, steps_to)
+                      state_bulk_energy, state_spectrum, step, steps_to)
 
 # Tolerances for the per-step invariant checks (run with check_invariants on).
 MBP_TOL = 1e-12
@@ -72,9 +72,9 @@ DIAGNOSTICS_HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
 
 def _make_row(grid: Grid, cfg: SchemeConfig, state: SolverState,
               tau: float) -> DiagnosticsRow:
-    # Bitwise the sums total_energy and modified_energy form, from one
-    # stencil evaluation and the state's cached bulk energy.
-    interface = interface_energy(grid, state.u, cfg.eps)
+    # Bitwise the sums total_energy and modified_energy form on (u, u_hat),
+    # from the spectrum and the bulk energy the state carries.
+    interface = interface_energy(grid, state.u, cfg.eps, state_spectrum(grid, state))
     return DiagnosticsRow(
         step=state.step,
         t=state.t,

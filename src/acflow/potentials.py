@@ -221,13 +221,20 @@ def bulk_energy(grid: Grid, potential, v: np.ndarray) -> float:
     return grid.integrate(potential.F(v))
 
 
-def interface_energy(grid: Grid, v: np.ndarray, eps: float) -> float:
-    return 0.5 * eps * eps * grid.grad_norm2_sq(v)
+def interface_energy(grid: Grid, v: np.ndarray, eps: float,
+                     v_hat: np.ndarray | None = None) -> float:
+    """(eps^2/2) ||grad_h v||^2, summed with ``grid.energy_weights`` over the
+    float view of v_hat = ``grid.fast_forward(v)``, transformed unless given."""
+    x = (grid.fast_forward(v) if v_hat is None else v_hat).view(float)
+    return -0.5 * eps * eps * (grid.h * grid.h * float(
+        np.einsum("ij,ij,ij->", grid.energy_weights, x, x)))
 
 
-def total_energy(grid: Grid, potential, v: np.ndarray, eps: float) -> float:
-    return interface_energy(grid, v, eps) + bulk_energy(grid, potential, v)
+def total_energy(grid: Grid, potential, v: np.ndarray, eps: float,
+                 v_hat: np.ndarray | None = None) -> float:
+    return interface_energy(grid, v, eps, v_hat) + bulk_energy(grid, potential, v)
 
 
-def modified_energy(grid: Grid, v: np.ndarray, r: float, eps: float) -> float:
-    return interface_energy(grid, v, eps) + r
+def modified_energy(grid: Grid, v: np.ndarray, r: float, eps: float,
+                    v_hat: np.ndarray | None = None) -> float:
+    return interface_energy(grid, v, eps, v_hat) + r

@@ -116,10 +116,12 @@ def _first_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
     backward-Euler resolvent (stab1), (I + tau L) u^{n+1} = u^n + tau N.
     Returns ``(u, s, g, u_hat)`` at the new state."""
     u, s = state.u, state.s
-    g_n, fu, op, nonlin = _frozen_at(grid, cfg, u, s,
-                                     state_bulk_energy(grid, cfg, state))
+    # N comes in a one-item list, popped in the call: the advance then holds
+    # its only reference and frees it after the forward transform.
+    g_n, fu, op, *nonlin = _frozen_at(grid, cfg, u, s,
+                                      state_bulk_energy(grid, cfg, state))
     u_new, u_hat_new = op.advance_spectral(tau, state_spectrum(grid, state),
-                                           nonlin, resolvent)
+                                           nonlin.pop(), resolvent)
     return u_new, s - g_n * grid.inner(fu, u_new - u), g_n, u_hat_new
 
 
@@ -138,14 +140,15 @@ def _second_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
     _check_finite(s_pred, "ei1 step", state.step + 1)
     u_mid = np.add(u, u_pred)
     u_mid *= 0.5
-    g_m, f_mid, op, nonlin = _frozen_at(grid, cfg, u_mid, 0.5 * (s + s_pred))
+    g_m, f_mid, op, *nonlin = _frozen_at(grid, cfg, u_mid, 0.5 * (s + s_pred))
     del u_mid
-    u_new, u_hat_new = op.advance_spectral(tau, u_hat, nonlin, resolvent=False)
+    u_new, u_hat_new = op.advance_spectral(tau, u_hat, nonlin.pop(),
+                                           resolvent=False)
     # Release what the s-update no longer needs as it goes (f_mid after its
     # inner product, u_pred overwritten by u^{n+1} - u_pred), so its
     # temporaries and the two spectra alive here, u^n's and u^{n+1}'s, do
     # not raise the step's peak.
-    del op, nonlin
+    del op
     du = u_new - u
     drop = g_m * grid.inner(f_mid, du)
     del f_mid

@@ -17,7 +17,7 @@ from .errors import AcflowError
 from .expkernel import StabilizedOperator, dense_expm, dense_phi1m, phi1
 from .grid import BOUNDARIES, Grid, dense_laplacian
 from .harness import RunConfig, init_random, run
-from .potentials import DoubleWell, ExpSigma, FloryHuggins
+from .potentials import DoubleWell, ExpSigma, FloryHuggins, interface_energy
 from .schemes import SCHEMES, SchemeConfig
 from .timestep import UniformStepping
 
@@ -76,8 +76,9 @@ def phi1_inequalities(rng) -> CheckResult:
 
 
 def summation_by_parts(grids, rng) -> CheckResult:
-    """<v, Lap w> = -<grad v, grad w> = <Lap v, w> to 1e-12 relative; 100
-    random pairs per grid."""
+    """<v, Lap w> = -<grad v, grad w> = <Lap v, w> to 1e-12 relative, and
+    the spectral interface energy equals (1/2) ||grad v||^2 to 1e-12
+    relative; 100 random pairs per grid."""
     worst = 0.0
     for grid in grids:
         for _ in range(100):
@@ -89,6 +90,8 @@ def summation_by_parts(grids, rng) -> CheckResult:
             sym = grid.inner(grid.laplacian(v), w)
             scale = max(1.0, abs(lhs))
             worst = max(worst, abs(lhs - rhs) / scale, abs(lhs - sym) / scale)
+            grad_form = 0.5 * (grid.inner(gv[0], gv[0]) + grid.inner(gv[1], gv[1]))
+            worst = max(worst, abs(interface_energy(grid, v, 1.0) / grad_form - 1.0))
     return CheckResult("summation-by-parts", worst <= 1e-12,
                        f"max relative defect = {worst:.3e}")
 

@@ -2,12 +2,12 @@
 
 Each counted function is wrapped with monkeypatch, so the counts are exact.
 The ei2 step transforms u^n once for both stages, every state carries its
-bulk energy E1(u) from the step that made it, and a diagnostics row
-evaluates the gradient once.  Every step carries the spectrum of the field
-it makes to the next step, so only the first step of a trajectory
-transforms its u^n.  An ei2 step releases each temporary at its last use,
-which bounds the memory it traces; at M=512 the elementwise chains' row
-strips bound it lower still.
+bulk energy E1(u) from the step that made it, and a diagnostics row sums
+the interface energy over the spectrum the state carries, with no stencil.
+Every step carries the spectrum of the field it makes to the next step, so
+only u0 is transformed, by the first step or by the first row of a run.  An
+ei2 step releases each temporary at its last use, which bounds the memory
+it traces; at M=512 the elementwise chains' row strips bound it lower still.
 """
 
 import tracemalloc
@@ -45,19 +45,21 @@ def _counter(monkeypatch, owner, name):
 
 
 # Peak bytes traced during one ei2 step at M=64, in fields of M*M floats,
-# with numpy 2.4: Neumann FH measures 6.026-6.031 and periodic DW
-# 6.671-6.680.  The periodic peak is the spectral advance's, where about one
-# field is numpy's buffer for casting the real multiplier to complex (capped
-# at 8192 elements, so a smaller share at larger M).  The bounds leave 0.01
-# field for the Python objects a run allocates.
+# with numpy 2.4: Neumann FH measures 5.062-5.067 and periodic DW
+# 5.671-5.678, with the advance freeing the nonlinear term N after its
+# forward transform.  The periodic peak is the spectral advance's, where
+# about one field is numpy's buffer for casting the real multiplier to
+# complex (capped at 8192 elements, so a smaller share at larger M).  The
+# bounds leave 0.01 field for the Python objects a run allocates.
 PEAK_M = 64
-PEAK_FIELDS_PER_EI2_STEP = {"periodic-dw": 6.69, "neumann-fh": 6.05}
+PEAK_FIELDS_PER_EI2_STEP = {"periodic-dw": 5.69, "neumann-fh": 5.08}
 
 # At M=512 the potentials and the spectral advance run in row strips of
 # 2**14 elements, so each temporary of their chains is 1/16 field, not one.
 # Measured with numpy 2.4: one ei2 step 5.003 fields (Neumann FH) and 5.007
 # (periodic DW), one Flory-Huggins F 1.190; the whole-field kernels measured
-# 6.00, 5.57 and 3.00.
+# 6.00, 5.57 and 3.00.  This peak lies in the s-update (u_pred, f_mid,
+# u^{n+1}, its spectrum and u^{n+1} - u^n), so freeing N does not lower it.
 STRIP_M = 512
 PEAK_FIELDS_PER_STRIP_EI2_STEP = {"periodic-dw": 5.02, "neumann-fh": 5.02}
 PEAK_FIELDS_PER_STRIP_F = 1.2
@@ -90,13 +92,14 @@ def test_step_costs(monkeypatch, problem, scheme):
 @pytest.mark.parametrize("problem", PROBLEMS)
 @pytest.mark.parametrize("scheme", ["ei1", "ei2", "stab1"])
 def test_run_costs(monkeypatch, problem, scheme):
-    # The diagnostics row reuses the step's E1(u^{n+1}): no F beyond the
-    # steps' own, one at start-up, one gradient per row and no transform.
+    # The diagnostics row reuses the step's E1(u^{n+1}) and spectrum: no F
+    # beyond the steps' own and one at start-up, no stencil, and no
+    # transform beyond those of test_step_costs.
     grid, cfg, u0 = _setup(problem, scheme)
     forward = _counter(monkeypatch, Grid, "fast_forward")
     inverse = _counter(monkeypatch, Grid, "fast_inverse")
     bulk = _counter(monkeypatch, type(cfg.potential), "F")
-    stencil = _counter(monkeypatch, Grid, "grad_norm2_sq")
+    stencil = _counter(monkeypatch, Grid, "gradient")
     _, rows = run(u0, RunConfig(grid=grid, scheme=cfg,
                                 stepping=UniformStepping(0.05),
                                 t_end=STEPS * 0.05))
@@ -104,7 +107,7 @@ def test_run_costs(monkeypatch, problem, scheme):
     assert forward[0] + inverse[0] == (TRANSFORMS_PER_STEP[scheme] * STEPS
                                        + TRANSFORMS_AT_START)
     assert bulk[0] == F_PER_STEP[scheme] * STEPS + 1
-    assert stencil[0] == len(rows)
+    assert stencil[0] == 0
 
 
 def _peak_fields(m, fn):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from acflow.grid import STRIP_SIZE, Grid, dense_laplacian, row_strips
+from acflow.potentials import interface_energy
 from acflow.verify import summation_by_parts
 
 
@@ -67,14 +68,33 @@ class TestStencils:
             pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("m", [2, 3, 16, 33])
-def test_grad_norm2_sq_matches_gradient_form_bitwise(m, boundary):
-    grid = Grid(m, 1.3, boundary)
-    for seed in range(10):
+def _check_interface_energy(grid, seeds):
+    # The spectral sum against (eps^2/2) ||grad_h v||^2 from the stencil.
+    eps = 0.01
+    for seed in range(seeds):
         v = random_field(grid, seed)
         gx, gy = grid.gradient(v)
-        expected = grid.inner(gx, gx) + grid.inner(gy, gy)
-        assert grid.grad_norm2_sq(v) == expected
+        expected = 0.5 * eps * eps * (grid.inner(gx, gx) + grid.inner(gy, gy))
+        assert interface_energy(grid, v, eps) == pytest.approx(expected, rel=1e-13)
+    # Only the constant mode is left, and its eigenvalue is 0; for odd M the
+    # transform leaves roundoff in the other modes.
+    for value in (1.0, 0.3, -2.7):
+        energy = interface_energy(grid, np.full((grid.m, grid.m), value), 1.0)
+        if grid.m % 2 == 0:
+            assert energy == 0.0
+        else:
+            assert 0.0 <= energy <= 1e-25
+
+
+@pytest.mark.parametrize("m", [2, 3, 16, 33, 127, 128])
+def test_interface_energy_matches_gradient_form(m, boundary):
+    _check_interface_energy(Grid(m, 1.3, boundary), 10)
+
+
+def test_interface_energy_matches_gradient_form_at_512():
+    grid = Grid(512, 1.3, "neumann")
+    _check_interface_energy(grid, 2)
+    assert grid.energy_weights is grid.multiplier_eigenvalues  # no second array
 
 
 class TestInnerProducts:

@@ -115,8 +115,8 @@ class TestRun:
                                                     ("neumann", FloryHuggins)])
     def test_energy_columns_are_exact(self, monkeypatch, scheme, boundary,
                                       potential):
-        # The rows reuse each state's cached bulk energy and one interface
-        # energy; both columns must equal the energy functions bitwise.
+        # The rows reuse each state's cached bulk energy and spectrum; both
+        # columns must equal the energy functions on (u, u_hat) bitwise.
         states = []
 
         def recording(fn):
@@ -136,9 +136,10 @@ class TestRun:
         _, rows = run(init_random(grid, -0.8, 0.8, 12), cfg)
         assert len(rows) == len(states) == 6
         for row, state in zip(rows, states):
-            assert row.energy == total_energy(grid, pot, state.u, scfg.eps)
+            assert row.energy == total_energy(grid, pot, state.u, scfg.eps,
+                                              state.u_hat)
             assert row.modified_energy == modified_energy(grid, state.u, state.s,
-                                                          scfg.eps)
+                                                          scfg.eps, state.u_hat)
 
     def test_initial_g_is_exactly_one(self):
         grid = Grid(16)

@@ -5,7 +5,7 @@ import acflow
 from acflow.errors import DomainBoundError, NumericFailure
 from acflow.expkernel import StabilizedOperator, dense_expm, dense_phi1m
 from acflow.grid import Grid
-from acflow.harness import init_random, init_sine
+from acflow.harness import _make_row, init_random, init_sine
 from acflow.potentials import (
     ConstantSigma,
     DoubleWell,
@@ -302,6 +302,23 @@ class TestCarriedSpectrum:
                 exact = grid.fast_forward(state.u)
                 drift = np.max(np.abs(state.u_hat - exact))
                 assert drift <= 1e-13 * np.max(np.abs(exact)), (n, drift)
+
+    @pytest.mark.parametrize("m,boundary,potential", [
+        (32, "periodic", DoubleWell), (33, "periodic", DoubleWell),
+        (32, "neumann", FloryHuggins)])
+    @pytest.mark.parametrize("scheme", ["ei1", "ei2", "stab1"])
+    def test_row_energies_match_a_fresh_transform(self, m, boundary, potential,
+                                                  scheme):
+        # The row sums the interface energy over the carried spectrum; the
+        # energy functions given u alone transform it afresh.
+        grid, cfg, state = self.problem(m, boundary, potential, scheme)
+        for n in range(1, 2001):
+            state = step(grid, cfg, state, 0.05)
+            row = _make_row(grid, cfg, state, 0.05)
+            fresh = (total_energy(grid, cfg.potential, state.u, cfg.eps),
+                     modified_energy(grid, state.u, state.s, cfg.eps))
+            assert fresh == pytest.approx((row.energy, row.modified_energy),
+                                          rel=1e-13, abs=0.0), n
 
     @pytest.mark.parametrize("boundary,potential", [("periodic", DoubleWell),
                                                     ("neumann", FloryHuggins)])
