@@ -40,39 +40,40 @@ class StabilizedOperator:
         self.eps2 = positive("eps^2", eps2)
 
     def advance(self, tau: float, v: np.ndarray, nonlin: np.ndarray) -> np.ndarray:
-        """e^{-tau L} v + tau * phi1(-tau L) nonlin with one inverse transform."""
-        return self.advance_spectral(tau, self.grid.fast_forward(v), nonlin,
+        """e^{-tau L} v + tau * phi1(-tau L) nonlin, fields in and out: the
+        oracle's form of ``advance_spectral``, which leaves v and nonlin as
+        they are."""
+        forward = self.grid.fast_forward
+        return self.advance_spectral(tau, forward(v), forward(nonlin),
                                      resolvent=False)[0]
 
-    def advance_spectral(self, tau: float, v_hat: np.ndarray, nonlin: np.ndarray,
+    def advance_spectral(self, tau: float, v_hat: np.ndarray, n_hat: np.ndarray,
                          resolvent: bool) -> tuple[np.ndarray, np.ndarray]:
-        """a v + tau * b nonlin with one inverse transform, given
-        v_hat = ``grid.fast_forward(v)``: the exponential step (ei1, ei2),
-        a = e^{-tau L} and b = phi1(-tau L), or with ``resolvent`` the
-        backward-Euler step (stab1), a = b = (I + tau L)^{-1}.  Returns the
-        field and the spectrum it was inverted from, which a step carries to
+        """a v + tau * b N with one inverse transform, given the spectra
+        v_hat and n_hat (``grid.fast_forward`` of v and N): the exponential
+        step (ei1, ei2), a = e^{-tau L} and b = phi1(-tau L), or with
+        ``resolvent`` the backward-Euler step (stab1), a = b = (I + tau L)^{-1}.
+        The sum is written over n_hat; v_hat is only read.  Returns the field
+        and n_hat, the spectrum it was inverted from, which a step carries to
         the next one in place of transforming the field again."""
         positive("tau", tau)
-        combined = self.grid.fast_forward(nonlin)
-        del nonlin  # freed here when the caller handed over its last reference
         # z = -tau L, built per call and per strip of the spectrum: an
         # operator holds no field between uses.
-        for lam, c_hat, v in row_strips(self.grid.multiplier_eigenvalues,
-                                        combined, v_hat):
+        for lam, n, v in row_strips(self.grid.multiplier_eigenvalues, n_hat,
+                                    v_hat):
             z = np.multiply(self.eps2, lam)
             np.subtract(self.c, z, out=z)
             z *= -tau
-            c_hat *= tau
+            n *= tau
             if resolvent:  # a = b = 1 / (1 - z), written over z
                 np.subtract(1.0, z, out=z)
                 a = np.divide(1.0, z, out=z)
-                c_hat *= a
+                n *= a
             else:  # b = phi1(z) first, then a = e^z written over z
-                c_hat *= phi1(z)
+                n *= phi1(z)
                 a = np.exp(z, out=z)
-            c_hat += v * a
-        del z, a  # not held through the inverse transform
-        return self.grid.fast_inverse(combined), combined
+            n += v * a
+        return self.grid.fast_inverse(n_hat), n_hat
 
     def dense_matrix(self) -> np.ndarray:
         """Explicit (M^2, M^2) matrix of L. Oracle only; refuses M > 16."""

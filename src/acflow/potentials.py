@@ -230,11 +230,9 @@ def interface_energy(grid: Grid, v: np.ndarray, eps: float,
         np.einsum("ij,ij,ij->", grid.energy_weights, x, x)))
 
 
-def total_energy(grid: Grid, potential, v: np.ndarray, eps: float,
-                 v_hat: np.ndarray | None = None) -> float:
-    return interface_energy(grid, v, eps, v_hat) + bulk_energy(grid, potential, v)
+def total_energy(grid: Grid, potential, v: np.ndarray, eps: float) -> float:
+    return interface_energy(grid, v, eps) + bulk_energy(grid, potential, v)
 
 
-def modified_energy(grid: Grid, v: np.ndarray, r: float, eps: float,
-                    v_hat: np.ndarray | None = None) -> float:
-    return interface_energy(grid, v, eps, v_hat) + r
+def modified_energy(grid: Grid, v: np.ndarray, r: float, eps: float) -> float:
+    return interface_energy(grid, v, eps) + r

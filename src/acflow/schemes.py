@@ -81,17 +81,21 @@ def initial_state(grid: Grid, cfg: SchemeConfig, u0: np.ndarray) -> SolverState:
 def _frozen_at(grid: Grid, cfg: SchemeConfig, u: np.ndarray, s: float,
                e1: float | None = None):
     """Freeze a step at (u, s): the shaping ratio g, f(u), the operator
-    kappa g I - eps^2 Lap_h and the nonlinear term N = g (f(u) + kappa u).
-    The bulk energy e1 = E1(u) is evaluated here unless given."""
+    kappa g I - eps^2 Lap_h and the spectrum of the nonlinear term
+    N = g (f(u) + kappa u), which the advance overwrites; N itself is freed
+    on return.  The bulk energy e1 = E1(u) is evaluated here unless given."""
     if e1 is None:
         e1 = bulk_energy(grid, cfg.potential, u)
     g = cfg.sigma.ratio(s, e1)
+    c = cfg.kappa * g
+    if not 0.0 < c < math.inf:
+        raise NumericRangeError(f"stabilization coefficient kappa*g out of range: "
+                                f"kappa={cfg.kappa!r}, g={g!r}")
     fu = cfg.potential.f(u)
-    op = StabilizedOperator(grid, cfg.kappa * g, cfg.eps ** 2)
     nonlin = np.multiply(cfg.kappa, u)  # g (f(u) + kappa u) in one buffer
     nonlin += fu
     nonlin *= g
-    return g, fu, op, nonlin
+    return g, fu, StabilizedOperator(grid, c, cfg.eps ** 2), grid.fast_forward(nonlin)
 
 
 def _check_finite(s: float, label: str, step: int):
@@ -116,12 +120,10 @@ def _first_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
     backward-Euler resolvent (stab1), (I + tau L) u^{n+1} = u^n + tau N.
     Returns ``(u, s, g, u_hat)`` at the new state."""
     u, s = state.u, state.s
-    # N comes in a one-item list, popped in the call: the advance then holds
-    # its only reference and frees it after the forward transform.
-    g_n, fu, op, *nonlin = _frozen_at(grid, cfg, u, s,
-                                      state_bulk_energy(grid, cfg, state))
+    g_n, fu, op, n_hat = _frozen_at(grid, cfg, u, s,
+                                    state_bulk_energy(grid, cfg, state))
     u_new, u_hat_new = op.advance_spectral(tau, state_spectrum(grid, state),
-                                           nonlin.pop(), resolvent)
+                                           n_hat, resolvent)
     return u_new, s - g_n * grid.inner(fu, u_new - u), g_n, u_hat_new
 
 
@@ -135,25 +137,16 @@ def _second_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
     spectrum; the predictor's own spectrum is dropped at once.
     """
     u, s = state.u, state.s
-    u_hat = state_spectrum(grid, state)
     u_pred, s_pred = _first_order(grid, cfg, state, tau, resolvent=False)[:2]
     _check_finite(s_pred, "ei1 step", state.step + 1)
-    u_mid = np.add(u, u_pred)
-    u_mid *= 0.5
-    g_m, f_mid, op, *nonlin = _frozen_at(grid, cfg, u_mid, 0.5 * (s + s_pred))
-    del u_mid
-    u_new, u_hat_new = op.advance_spectral(tau, u_hat, nonlin.pop(),
-                                           resolvent=False)
-    # Release what the s-update no longer needs as it goes (f_mid after its
-    # inner product, u_pred overwritten by u^{n+1} - u_pred), so its
-    # temporaries and the two spectra alive here, u^n's and u^{n+1}'s, do
-    # not raise the step's peak.
-    del op
+    g_m, f_mid, op, n_hat = _frozen_at(grid, cfg, 0.5 * (u + u_pred),
+                                       0.5 * (s + s_pred))
+    u_new, u_hat_new = op.advance_spectral(tau, state_spectrum(grid, state),
+                                           n_hat, resolvent=False)
     du = u_new - u
-    drop = g_m * grid.inner(f_mid, du)
-    del f_mid
     rise = np.subtract(u_new, u_pred, out=u_pred)
-    s_new = s - drop + 0.5 * cfg.kappa * g_m * grid.inner(rise, du)
+    s_new = (s - g_m * grid.inner(f_mid, du)
+             + 0.5 * cfg.kappa * g_m * grid.inner(rise, du))
     return u_new, s_new, g_m, u_hat_new
 
 

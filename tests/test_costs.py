@@ -5,9 +5,10 @@ The ei2 step transforms u^n once for both stages, every state carries its
 bulk energy E1(u) from the step that made it, and a diagnostics row sums
 the interface energy over the spectrum the state carries, with no stencil.
 Every step carries the spectrum of the field it makes to the next step, so
-only u0 is transformed, by the first step or by the first row of a run.  An
-ei2 step releases each temporary at its last use, which bounds the memory
-it traces; at M=512 the elementwise chains' row strips bound it lower still.
+only u0 is transformed, by the first step or by the first row of a run.  A
+stage's freeze hands the advance the spectrum of the nonlinear term N, so N
+is freed when the freeze returns, which bounds the memory an ei2 step
+traces; at M=512 the elementwise chains' row strips bound it lower still.
 """
 
 import tracemalloc
@@ -45,10 +46,10 @@ def _counter(monkeypatch, owner, name):
 
 
 # Peak bytes traced during one ei2 step at M=64, in fields of M*M floats,
-# with numpy 2.4: Neumann FH measures 5.062-5.067 and periodic DW
-# 5.671-5.678, with the advance freeing the nonlinear term N after its
-# forward transform.  The periodic peak is the spectral advance's, where
-# about one field is numpy's buffer for casting the real multiplier to
+# with numpy 2.4: Neumann FH measures 5.068 and periodic DW 5.670, with N
+# freed when the freeze that transforms it returns (held through the advance,
+# it adds one field here and at M=512).  The periodic peak is the spectral
+# advance's, where about one field is numpy's buffer for casting the real multiplier to
 # complex (capped at 8192 elements, so a smaller share at larger M).  The
 # bounds leave 0.01 field for the Python objects a run allocates.
 PEAK_M = 64
@@ -59,7 +60,8 @@ PEAK_FIELDS_PER_EI2_STEP = {"periodic-dw": 5.69, "neumann-fh": 5.08}
 # Measured with numpy 2.4: one ei2 step 5.003 fields (Neumann FH) and 5.007
 # (periodic DW), one Flory-Huggins F 1.190; the whole-field kernels measured
 # 6.00, 5.57 and 3.00.  This peak lies in the s-update (u_pred, f_mid,
-# u^{n+1}, its spectrum and u^{n+1} - u^n), so freeing N does not lower it.
+# u^{n+1}, its spectrum and u^{n+1} - u^n), so freeing N early does not
+# lower it.
 STRIP_M = 512
 PEAK_FIELDS_PER_STRIP_EI2_STEP = {"periodic-dw": 5.02, "neumann-fh": 5.02}
 PEAK_FIELDS_PER_STRIP_F = 1.2

@@ -88,8 +88,28 @@ class TestSpectralKernels:
             v_hat = grid.fast_forward(v)
             for _ in range(2):  # nothing the first call computes is reused
                 assert op.advance(tau, v, n).tobytes() == exact.tobytes()
-                stab1 = op.advance_spectral(tau, v_hat, n, resolvent=True)[0]
+                stab1 = op.advance_spectral(tau, v_hat, grid.fast_forward(n),
+                                            resolvent=True)[0]
                 assert stab1.tobytes() == resolvent.tobytes()
+
+    @pytest.mark.parametrize("resolvent", [False, True])
+    def test_advance_spectral_writes_over_n_hat_only(self, grid8, resolvent):
+        rng = np.random.default_rng(6)
+        v_hat = grid8.fast_forward(rng.standard_normal((8, 8)))
+        n_hat = grid8.fast_forward(rng.standard_normal((8, 8)))
+        v_bytes = v_hat.tobytes()
+        op = StabilizedOperator(grid8, 1.3, 3e-3)
+        u, spectrum = op.advance_spectral(0.21, v_hat, n_hat, resolvent)
+        assert spectrum is n_hat
+        assert v_hat.tobytes() == v_bytes
+        assert u.tobytes() == grid8.fast_inverse(n_hat).tobytes()
+
+    def test_advance_leaves_its_fields_untouched(self, grid8):
+        rng = np.random.default_rng(7)
+        v, n = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
+        v_bytes, n_bytes = v.tobytes(), n.tobytes()
+        StabilizedOperator(grid8, 1.3, 3e-3).advance(0.21, v, n)
+        assert (v.tobytes(), n.tobytes()) == (v_bytes, n_bytes)
 
     def test_rejects_nonpositive_coefficient(self):
         with pytest.raises(ValueError):

@@ -21,8 +21,9 @@ from acflow.potentials import (
     ExpSigma,
     FloryHuggins,
     TanhSigma,
+    bulk_energy,
+    interface_energy,
     modified_energy,
-    total_energy,
 )
 from acflow.schemes import SchemeConfig
 from acflow.timestep import AdaptiveStepping, UniformStepping
@@ -116,7 +117,7 @@ class TestRun:
     def test_energy_columns_are_exact(self, monkeypatch, scheme, boundary,
                                       potential):
         # The rows reuse each state's cached bulk energy and spectrum; both
-        # columns must equal the energy functions on (u, u_hat) bitwise.
+        # columns must equal the energy sums on (u, u_hat) bitwise.
         states = []
 
         def recording(fn):
@@ -136,10 +137,9 @@ class TestRun:
         _, rows = run(init_random(grid, -0.8, 0.8, 12), cfg)
         assert len(rows) == len(states) == 6
         for row, state in zip(rows, states):
-            assert row.energy == total_energy(grid, pot, state.u, scfg.eps,
-                                              state.u_hat)
-            assert row.modified_energy == modified_energy(grid, state.u, state.s,
-                                                          scfg.eps, state.u_hat)
+            interface = interface_energy(grid, state.u, scfg.eps, state.u_hat)
+            assert row.energy == interface + bulk_energy(grid, pot, state.u)
+            assert row.modified_energy == interface + state.s
 
     def test_initial_g_is_exactly_one(self):
         grid = Grid(16)

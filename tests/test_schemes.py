@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import acflow
-from acflow.errors import DomainBoundError, NumericFailure
+from acflow.errors import DomainBoundError, NumericFailure, NumericRangeError
 from acflow.expkernel import StabilizedOperator, dense_expm, dense_phi1m
 from acflow.grid import Grid
 from acflow.harness import _make_row, init_random, init_sine
@@ -46,7 +46,7 @@ class TestNonlinearTerm:
         u = np.ones((16, 16))
         s = bulk_energy(self.grid, cfg.potential, u)  # = 0, so g = 1
         _, _, _, out = _frozen_at(self.grid, cfg, u, s)
-        assert np.allclose(out, cfg.kappa, rtol=1e-14)
+        assert np.allclose(self.grid.fast_inverse(out), cfg.kappa, rtol=1e-14)
 
     def test_zero_state(self):
         cfg = dw_config()
@@ -63,7 +63,8 @@ class TestNonlinearTerm:
             g, _, op, out = _frozen_at(self.grid, cfg, u, s)
             assert g == cfg.sigma.ratio(s, bulk_energy(self.grid, cfg.potential, u))
             assert op.c == cfg.kappa * g
-            assert np.max(np.abs(out)) <= cfg.kappa * cfg.potential.beta * g + 1e-12
+            n = self.grid.fast_inverse(out)
+            assert np.max(np.abs(n)) <= cfg.kappa * cfg.potential.beta * g + 1e-12
 
 
 @pytest.mark.parametrize("scheme", ["ei1", "ei2", "stab1"],
@@ -411,6 +412,17 @@ class TestFailureModes:
             step(grid, cfg, SolverState(u=u, s=0.0, step=4), 0.1)
         assert exc.value.step == 5
         assert isinstance(exc.value.__cause__, DomainBoundError)
+
+    def test_overflowing_stabilization_raises_with_step(self):
+        # g = exp(1000 * 0.7095) is finite, but kappa g = 2 g overflows.
+        grid = Grid(16)
+        cfg = dw_config(a=1000.0)
+        u = init_random(grid, -0.5, 0.5, 1)
+        s = bulk_energy(grid, cfg.potential, u) + 0.7095
+        with pytest.raises(NumericFailure, match="kappa") as exc:
+            step(grid, cfg, SolverState(u=u, s=s, step=2), 0.1)
+        assert exc.value.step == 3
+        assert isinstance(exc.value.__cause__, NumericRangeError)
 
     def test_rejects_nonpositive_tau(self):
         grid = Grid(8)
