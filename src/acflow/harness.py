@@ -13,8 +13,8 @@ import numpy as np
 from .errors import NumericFailure, positive, whole
 from .grid import Grid
 from .potentials import interface_energy
-from .schemes import (SchemeConfig, SolverState, initial_state, reference_solution,
-                      state_bulk_energy, state_spectrum, step, steps_to)
+from .schemes import SchemeConfig, SolverState, initial_state, reference_solution, step
+from .timestep import steps_to
 
 # Tolerances for the per-step invariant checks (run with check_invariants on).
 MBP_TOL = 1e-12
@@ -74,13 +74,13 @@ def _make_row(grid: Grid, cfg: SchemeConfig, state: SolverState,
               tau: float) -> DiagnosticsRow:
     # Bitwise the sums total_energy and modified_energy form on (u, u_hat),
     # from the spectrum and the bulk energy the state carries.
-    interface = interface_energy(grid, state.u, cfg.eps, state_spectrum(grid, state))
+    interface = interface_energy(grid, state.u, cfg.eps, state.u_hat)
     return DiagnosticsRow(
         step=state.step,
         t=state.t,
         tau=tau,
         sup_norm=grid.norm_inf(state.u),
-        energy=interface + state_bulk_energy(grid, cfg, state),
+        energy=interface + state.e1,
         modified_energy=interface + state.s,
         s=state.s,
         g=state.g,

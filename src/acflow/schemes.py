@@ -3,10 +3,11 @@ ei2 or stab1), and a fine-step reference-solution driver does ei2.
 
 All steps are pure functions (state in, state out).  The auxiliary scalar s
 tracks the bulk energy; the shaping ratio g = sigma(s) / sigma(E1(u)) feeds
-both the frozen linear operator and the nonlinear term.  Each state carries
-E1(u), evaluated once, for the next step and the diagnostics row, and the
-spectrum of u, handed on by the step that made u from its kernel, so the next
-step does not transform it again.
+both the frozen linear operator and the nonlinear term.  Every state is
+complete when made: it carries E1(u), evaluated once, for the next step and
+the diagnostics row, and the spectrum of u.  ``initial_state`` transforms u0;
+every later spectrum is handed on by the step that made u from its kernel,
+so no step transforms u again.
 """
 
 from __future__ import annotations
@@ -46,36 +47,22 @@ class SchemeConfig:
 @dataclass
 class SolverState:
     """A point of a trajectory.  ``e1`` and ``u_hat`` describe ``u``: E1(u)
-    and ``grid.fast_forward(u)``, each None until first needed or carried
-    from the step that made u.  A caller who changes u makes a new state
-    rather than editing this one."""
+    and ``grid.fast_forward(u)``, from ``initial_state`` or carried from the
+    step that made u.  A caller who changes u makes a new state with
+    ``initial_state`` rather than editing this one."""
     u: np.ndarray
     s: float
+    e1: float
+    u_hat: np.ndarray = field(repr=False)
     t: float = 0.0
     step: int = 0
     g: float = 1.0  # shaping ratio used by the step that produced this state
-    e1: float | None = None
-    u_hat: np.ndarray | None = field(default=None, repr=False)
-
-
-def state_bulk_energy(grid: Grid, cfg: SchemeConfig, state: SolverState) -> float:
-    """E1(state.u), evaluated once per state and cached on it."""
-    if state.e1 is None:
-        state.e1 = bulk_energy(grid, cfg.potential, state.u)
-    return state.e1
-
-
-def state_spectrum(grid: Grid, state: SolverState) -> np.ndarray:
-    """grid.fast_forward(state.u), transformed once per state and cached on it."""
-    if state.u_hat is None:
-        state.u_hat = grid.fast_forward(state.u)
-    return state.u_hat
 
 
 def initial_state(grid: Grid, cfg: SchemeConfig, u0: np.ndarray) -> SolverState:
     u0 = grid.check(u0)
     e1 = bulk_energy(grid, cfg.potential, u0)
-    return SolverState(u=u0, s=e1, e1=e1)
+    return SolverState(u=u0, s=e1, e1=e1, u_hat=grid.fast_forward(u0))
 
 
 def _frozen_at(grid: Grid, cfg: SchemeConfig, u: np.ndarray, s: float,
@@ -120,10 +107,8 @@ def _first_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
     backward-Euler resolvent (stab1), (I + tau L) u^{n+1} = u^n + tau N.
     Returns ``(u, s, g, u_hat)`` at the new state."""
     u, s = state.u, state.s
-    g_n, fu, op, n_hat = _frozen_at(grid, cfg, u, s,
-                                    state_bulk_energy(grid, cfg, state))
-    u_new, u_hat_new = op.advance_spectral(tau, state_spectrum(grid, state),
-                                           n_hat, resolvent)
+    g_n, fu, op, n_hat = _frozen_at(grid, cfg, u, s, state.e1)
+    u_new, u_hat_new = op.advance_spectral(tau, state.u_hat, n_hat, resolvent)
     return u_new, s - g_n * grid.inner(fu, u_new - u), g_n, u_hat_new
 
 
@@ -141,8 +126,8 @@ def _second_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
     _check_finite(s_pred, "ei1 step", state.step + 1)
     g_m, f_mid, op, n_hat = _frozen_at(grid, cfg, 0.5 * (u + u_pred),
                                        0.5 * (s + s_pred))
-    u_new, u_hat_new = op.advance_spectral(tau, state_spectrum(grid, state),
-                                           n_hat, resolvent=False)
+    u_new, u_hat_new = op.advance_spectral(tau, state.u_hat, n_hat,
+                                           resolvent=False)
     du = u_new - u
     rise = np.subtract(u_new, u_pred, out=u_pred)
     s_new = (s - g_m * grid.inner(f_mid, du)
@@ -169,8 +154,8 @@ def step(grid: Grid, cfg: SchemeConfig, state: SolverState,
         e1 = bulk_energy(grid, cfg.potential, u_new)
     except (NumericRangeError, DomainBoundError) as exc:
         raise NumericFailure(str(exc), step=n) from exc
-    return SolverState(u=u_new, s=s_new, t=state.t + tau, step=n, g=g, e1=e1,
-                       u_hat=u_hat)
+    return SolverState(u=u_new, s=s_new, e1=e1, u_hat=u_hat, t=state.t + tau,
+                       step=n, g=g)
 
 
 def reference_solution(grid: Grid, cfg: SchemeConfig, u0: np.ndarray,

@@ -59,6 +59,15 @@ def test_snapshots_need_an_output_directory(capsys):
     assert "usage error: snapshot_every=1 needs an out_dir" in capsys.readouterr().err
 
 
+def test_unusable_output_directory_is_usage_error(tmp_path, capsys):
+    taken = tmp_path / "f"
+    taken.touch()
+    rc = main(["run", "--grid-m", "16", "--t-end", "0.05", "--out", str(taken)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 SMALL = {"run": ["run", "--grid-m", "16", "--t-end", "0.1"],
          "converge": ["converge", "--grid-m", "16", "--t-end", "1",
                       "--taus", "0.5,0.25", "--tau-ref", "0.0078125"]}

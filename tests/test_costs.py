@@ -1,13 +1,13 @@
 """Work done per step: transforms, bulk-energy evaluations and stencils.
 
 Each counted function is wrapped with monkeypatch, so the counts are exact.
-The ei2 step transforms u^n once for both stages, every state carries its
-bulk energy E1(u) from the step that made it, and a diagnostics row sums
+``initial_state`` evaluates E1(u0) and transforms u0, once each, and every
+step hands the bulk energy and the spectrum of the field it makes to the
+next step, so no field of the trajectory is transformed again: the ei2 step
+advances u^n from one spectrum in both stages, and a diagnostics row sums
 the interface energy over the spectrum the state carries, with no stencil.
-Every step carries the spectrum of the field it makes to the next step, so
-only u0 is transformed, by the first step or by the first row of a run.  A
-stage's freeze hands the advance the spectrum of the nonlinear term N, so N
-is freed when the freeze returns, which bounds the memory an ei2 step
+A stage's freeze hands the advance the spectrum of the nonlinear term N, so
+N is freed when the freeze returns, which bounds the memory an ei2 step
 traces; at M=512 the elementwise chains' row strips bound it lower still.
 """
 
@@ -23,7 +23,7 @@ from acflow.timestep import UniformStepping
 
 STEPS = 4
 TRANSFORMS_PER_STEP = {"ei1": 2, "ei2": 4, "stab1": 2}
-# The forward transform of u0, taken by the first step of every scheme.
+# The forward transform of u0, taken by initial_state.
 TRANSFORMS_AT_START = 1
 F_PER_STEP = {"ei1": 1, "ei2": 2, "stab1": 1}
 
@@ -80,23 +80,22 @@ def _setup(problem, scheme, m=16):
 @pytest.mark.parametrize("scheme", ["ei1", "ei2", "stab1"])
 def test_step_costs(monkeypatch, problem, scheme):
     grid, cfg, u0 = _setup(problem, scheme)
-    state = initial_state(grid, cfg, u0)
     forward = _counter(monkeypatch, Grid, "fast_forward")
     inverse = _counter(monkeypatch, Grid, "fast_inverse")
     bulk = _counter(monkeypatch, type(cfg.potential), "F")
+    state = initial_state(grid, cfg, u0)
     for _ in range(STEPS):
         state = step(grid, cfg, state, 0.05)
     assert forward[0] + inverse[0] == (TRANSFORMS_PER_STEP[scheme] * STEPS
                                        + TRANSFORMS_AT_START)
-    assert bulk[0] == F_PER_STEP[scheme] * STEPS
+    assert bulk[0] == F_PER_STEP[scheme] * STEPS + 1
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)
 @pytest.mark.parametrize("scheme", ["ei1", "ei2", "stab1"])
 def test_run_costs(monkeypatch, problem, scheme):
-    # The diagnostics row reuses the step's E1(u^{n+1}) and spectrum: no F
-    # beyond the steps' own and one at start-up, no stencil, and no
-    # transform beyond those of test_step_costs.
+    # The diagnostics row reuses the state's E1(u) and spectrum: no F and no
+    # transform beyond those of test_step_costs, and no stencil.
     grid, cfg, u0 = _setup(problem, scheme)
     forward = _counter(monkeypatch, Grid, "fast_forward")
     inverse = _counter(monkeypatch, Grid, "fast_inverse")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from acflow.schemes import (
     _frozen_at,
     initial_state,
     reference_solution,
-    state_spectrum,
     step,
 )
 
@@ -228,10 +229,9 @@ class TestDegenerateSigma:
         pot = DoubleWell()
         cfg = SchemeConfig(eps=0.01, kappa=2.0, potential=pot,
                            sigma=ConstantSigma(), scheme="ei1")
-        u0 = init_random(grid, -0.8, 0.8, 9)
-        s0 = bulk_energy(grid, pot, u0)
-        a = step(grid, cfg, SolverState(u=u0, s=s0), 0.1)
-        b = step(grid, cfg, SolverState(u=u0, s=s0 + 123.4), 0.1)
+        start = initial_state(grid, cfg, init_random(grid, -0.8, 0.8, 9))
+        a = step(grid, cfg, start, 0.1)
+        b = step(grid, cfg, replace(start, s=start.s + 123.4), 0.1)
         assert np.array_equal(a.u, b.u)
         assert a.g == 1.0 and b.g == 1.0
 
@@ -247,8 +247,8 @@ class TestDegenerateSigma:
                                                 ("neumann", FloryHuggins)])
 @pytest.mark.parametrize("scheme", ["ei1", "ei2", "stab1"])
 class TestCachedBulkEnergy:
-    """Each state carries E1(u) from the step that made it; a hand-built
-    state without it gets it on first use."""
+    """Each state carries E1(u) from ``initial_state`` or from the step that
+    made it."""
 
     def problem(self, boundary, potential, scheme):
         grid = Grid(16, 1.0, boundary)
@@ -256,18 +256,6 @@ class TestCachedBulkEnergy:
         cfg = SchemeConfig(eps=0.01, kappa=pot.lipschitz, potential=pot,
                            sigma=ExpSigma(10.0), scheme=scheme)
         return grid, cfg, init_random(grid, -0.8, 0.8, 11)
-
-    def test_hand_built_state_steps_like_initial_state(self, boundary, potential,
-                                                        scheme):
-        grid, cfg, u0 = self.problem(boundary, potential, scheme)
-        a = initial_state(grid, cfg, u0)
-        b = SolverState(u=u0.copy(), s=a.s)
-        assert b.e1 is None
-        for _ in range(3):
-            a = step(grid, cfg, a, 0.05)
-            b = step(grid, cfg, b, 0.05)
-            assert np.array_equal(a.u, b.u)
-            assert (a.s, a.g, a.e1) == (b.s, b.g, b.e1)
 
     def test_each_state_holds_its_bulk_energy(self, boundary, potential, scheme):
         grid, cfg, u0 = self.problem(boundary, potential, scheme)
@@ -338,19 +326,25 @@ class TestCarriedSpectrum:
         assert a.u_hat is not b.u_hat
         assert state.u_hat.tobytes() == hat_bytes
 
-    def test_state_spectrum_is_cached(self):
-        grid, cfg, state = self.problem(16, "periodic", DoubleWell, "ei2")
-        assert state.u_hat is None
-        first = state_spectrum(grid, state)
-        assert first.tobytes() == grid.fast_forward(state.u).tobytes()
-        assert state_spectrum(grid, state) is first
+    @pytest.mark.parametrize("m,boundary,potential", [
+        (32, "periodic", DoubleWell), (33, "periodic", DoubleWell),
+        (32, "neumann", FloryHuggins)])
+    def test_initial_state_is_complete(self, m, boundary, potential):
+        grid, cfg, state = self.problem(m, boundary, potential, "ei2")
+        assert state.u_hat.tobytes() == grid.fast_forward(state.u).tobytes()
+        assert state.e1 == bulk_energy(grid, cfg.potential, state.u)
+
+    def test_state_needs_its_energy_and_spectrum(self):
+        with pytest.raises(TypeError):
+            SolverState(u=np.zeros((8, 8)), s=0.0)
 
 
 class TestFailureModes:
     def test_nonfinite_state_raises_with_step(self):
         grid = Grid(8)
         cfg = dw_config()
-        bad = SolverState(u=np.full((8, 8), 0.1), s=np.inf, t=0.0, step=4)
+        bad = replace(initial_state(grid, cfg, np.full((8, 8), 0.1)), s=np.inf,
+                      step=4)
         with pytest.raises(NumericFailure) as exc:
             step(grid, cfg, bad, 0.1)
         assert exc.value.step == 5
@@ -362,7 +356,8 @@ class TestFailureModes:
         pot = DoubleWell()
         cfg = SchemeConfig(eps=0.01, kappa=pot.lipschitz, potential=pot,
                            sigma=ConstantSigma(), scheme="ei2")
-        bad = SolverState(u=np.full((8, 8), 0.1), s=np.nan, step=4)
+        bad = replace(initial_state(grid, cfg, np.full((8, 8), 0.1)), s=np.nan,
+                      step=4)
         with pytest.raises(NumericFailure, match="after ei1 step") as exc:
             step(grid, cfg, bad, 0.1)
         assert exc.value.step == 5
@@ -402,6 +397,7 @@ class TestFailureModes:
     def test_domain_error_raises_with_step(self):
         # |u| = 1 is outside the Flory-Huggins domain; the step index must
         # still be attached, with the domain error kept as the cause.
+        # initial_state rejects such a u itself, so the state is built whole.
         grid = Grid(8, 1.0, "neumann")
         pot = FloryHuggins()
         cfg = SchemeConfig(eps=0.01, kappa=pot.lipschitz, potential=pot,
@@ -409,7 +405,8 @@ class TestFailureModes:
         u = np.zeros((8, 8))
         u[0, 0] = 1.0
         with pytest.raises(NumericFailure) as exc:
-            step(grid, cfg, SolverState(u=u, s=0.0, step=4), 0.1)
+            step(grid, cfg, SolverState(u=u, s=0.0, e1=0.0,
+                                        u_hat=grid.fast_forward(u), step=4), 0.1)
         assert exc.value.step == 5
         assert isinstance(exc.value.__cause__, DomainBoundError)
 
@@ -418,9 +415,9 @@ class TestFailureModes:
         grid = Grid(16)
         cfg = dw_config(a=1000.0)
         u = init_random(grid, -0.5, 0.5, 1)
-        s = bulk_energy(grid, cfg.potential, u) + 0.7095
+        start = initial_state(grid, cfg, u)
         with pytest.raises(NumericFailure, match="kappa") as exc:
-            step(grid, cfg, SolverState(u=u, s=s, step=2), 0.1)
+            step(grid, cfg, replace(start, s=start.s + 0.7095, step=2), 0.1)
         assert exc.value.step == 3
         assert isinstance(exc.value.__cause__, NumericRangeError)
 
