@@ -34,18 +34,13 @@ class NumericRangeError(AcflowError):
 class NumericFailure(AcflowError):
     """A time step failed: it produced non-finite or out-of-domain data or, as
     ``harness.InvariantViolation``, broke a checked guarantee.  Carries the
-    failing step index; ``harness.run`` also fills in the time ``t`` the step
-    started from and its size ``tau``, and the message then names all three."""
+    failing step index, the time ``t`` the step started from and its size
+    ``tau``; the message names all three."""
 
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
-        self.t: float | None = None
-        self.tau: float | None = None
+    def __init__(self, message: str, step: int, t: float, tau: float):
+        super().__init__(message, step, t, tau)  # all four, so it unpickles
+        self.step, self.t, self.tau = step, t, tau
 
     def __str__(self):
-        message = super().__str__()
-        if self.t is None:
-            return message
         return (f"step {self.step} from t={float(self.t)!r} with "
-                f"tau={float(self.tau)!r}: {message}")
+                f"tau={float(self.tau)!r}: {self.args[0]}")

@@ -13,11 +13,11 @@ import numpy as np
 from .errors import NumericFailure, positive, whole
 from .grid import Grid
 from .potentials import interface_energy
-from .schemes import SchemeConfig, SolverState, initial_state, reference_solution, step
+from .schemes import (MBP_TOL, SchemeConfig, SolverState, initial_state,
+                      reference_solution, step)
 from .timestep import steps_to
 
-# Tolerances for the per-step invariant checks (run with check_invariants on).
-MBP_TOL = 1e-12
+# Slack of the energy checks of a run with check_invariants on.
 ENERGY_TOL = 1e-10
 
 
@@ -45,7 +45,7 @@ class RunConfig:
     t_end: float
     out_dir: str | None = None
     snapshot_every: int = 0
-    check_invariants: bool = False
+    check_invariants: bool = False  # per step: MBP, energy decay, s <= E(u0)
 
     def __post_init__(self):
         positive("t_end", self.t_end)
@@ -103,26 +103,27 @@ def _write_snapshot(out_dir: str, state: SolverState) -> str:
 
 class InvariantViolation(NumericFailure):
     """Raised in checked runs when MBP, modified-energy monotonicity or the
-    bound s <= E(u0) fails; ``row`` is the violating diagnostics row."""
+    bound s <= E(u0) fails on the step from ``prev``; ``row`` is the
+    violating diagnostics row, and the failure is dated at ``prev.t``."""
 
-    def __init__(self, message: str, row: DiagnosticsRow):
-        super().__init__(message, step=row.step)
+    def __init__(self, message: str, prev: SolverState, row: DiagnosticsRow):
+        super().__init__(message, row.step, prev.t, row.tau)
         self.row = row
 
 
-def _check_invariants(rows: list[DiagnosticsRow], beta: float):
-    """Check rows[-1] against beta, rows[-2] and E(u0) = rows[0].energy."""
+def _check_invariants(prev: SolverState, rows: list[DiagnosticsRow], beta: float):
+    """Check the row of the step from ``prev`` against beta, rows[-2] and E(u0)."""
     row, prev_modified, e0 = rows[-1], rows[-2].modified_energy, rows[0].energy
     if row.sup_norm > beta + MBP_TOL:
         raise InvariantViolation(
-            f"MBP violated: sup norm {row.sup_norm} > beta {beta}", row)
+            f"MBP violated: sup norm {row.sup_norm} > beta {beta}", prev, row)
     if row.modified_energy > prev_modified + ENERGY_TOL:
         raise InvariantViolation(
             f"modified energy increased: {prev_modified} -> {row.modified_energy}",
-            row)
+            prev, row)
     if row.s > e0 + ENERGY_TOL:
         raise InvariantViolation(
-            f"auxiliary variable s={row.s} exceeds E(u0)={e0}", row)
+            f"auxiliary variable s={row.s} exceeds E(u0)={e0}", prev, row)
 
 
 def _write_failure(out_dir: str, exc: NumericFailure, state: SolverState,
@@ -144,11 +145,10 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
     row).  When an output directory is set, removes an earlier run's
     failure.json from it, then streams diagnostics.csv and writes the
     requested snapshots as it goes.  A failing step (a ``NumericFailure``,
-    ``InvariantViolation`` included) is given the step's start time and size,
-    leaves failure.json and the last good field in the output directory, and
-    is re-raised.  Snapshots without an output directory are a
-    ``ValueError``, and so, with ``check_invariants`` on, is initial data
-    outside [-beta, beta].
+    ``InvariantViolation`` included, naming the step, its start time and
+    size) leaves failure.json and the last good field in the output
+    directory, and is re-raised.  Snapshots without an output directory and
+    initial data outside [-beta, beta] are a ``ValueError``.
     """
     grid, scfg, stepping, out_dir = cfg.grid, cfg.scheme, cfg.stepping, cfg.out_dir
     every = cfg.snapshot_every
@@ -156,10 +156,6 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
         raise ValueError(f"snapshot_every={every} needs an out_dir to write to")
     state = initial_state(grid, scfg, u0)
     rows = [_make_row(grid, scfg, state, 0.0)]
-    beta = scfg.potential.beta
-    if cfg.check_invariants and rows[0].sup_norm > beta + MBP_TOL:
-        raise ValueError(f"initial data exceeds the bound beta={beta}: "
-                         f"sup norm {rows[0].sup_norm}")
 
     csv = None
     if out_dir is not None:
@@ -181,9 +177,8 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
                 if csv is not None:
                     write_diagnostics(csv, row)
                 if cfg.check_invariants:
-                    _check_invariants(rows, beta)
+                    _check_invariants(state, rows, scfg.potential.beta)
             except NumericFailure as exc:
-                exc.step, exc.t, exc.tau = state.step + 1, state.t, tau
                 if out_dir is not None:
                     _write_failure(out_dir, exc, state, rows[state.step])
                 raise

@@ -27,6 +27,7 @@ EI1 = "ei1"
 EI2 = "ei2"
 STAB1 = "stab1"
 SCHEMES = (EI1, EI2, STAB1)
+MBP_TOL = 1e-12  # slack of |u| <= beta: initial data, and checked runs
 
 
 @dataclass
@@ -60,7 +61,12 @@ class SolverState:
 
 
 def initial_state(grid: Grid, cfg: SchemeConfig, u0: np.ndarray) -> SolverState:
+    """The state at t = 0; a ``ValueError`` unless |u0| <= beta + MBP_TOL.
+    ``step`` does not check beta: build a ``SolverState`` to start beyond it."""
     u0 = grid.check(u0)
+    beta, sup = cfg.potential.beta, grid.norm_inf(u0)
+    if sup > beta + MBP_TOL:
+        raise ValueError(f"initial data exceeds the bound beta={beta}: sup norm {sup}")
     e1 = bulk_energy(grid, cfg.potential, u0)
     return SolverState(u=u0, s=e1, e1=e1, u_hat=grid.fast_forward(u0))
 
@@ -85,8 +91,8 @@ def _frozen_at(grid: Grid, cfg: SchemeConfig, u: np.ndarray, s: float,
     return g, fu, StabilizedOperator(grid, c, cfg.eps ** 2), grid.fast_forward(nonlin)
 
 
-def _check_finite(s: float, label: str, step: int):
-    """Raise if the state a step made is not finite, read from s alone.
+def _check_finite(s: float, label: str):
+    """``NumericRangeError`` unless the state a step made is finite, read from s.
 
     Every s-update subtracts h^2 g sum_i f_i (u_new_i - u_i) with g > 0,
     u = u^n and f the reaction the stage froze (at u^n or at the midpoint),
@@ -97,7 +103,7 @@ def _check_finite(s: float, label: str, step: int):
     check of s and of every entry of u_new would, without a pass over the
     field."""
     if not math.isfinite(s):
-        raise NumericFailure(f"non-finite state after {label}", step=step)
+        raise NumericRangeError(f"non-finite state after {label}")
 
 
 def _first_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
@@ -123,7 +129,7 @@ def _second_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
     """
     u, s = state.u, state.s
     u_pred, s_pred = _first_order(grid, cfg, state, tau, resolvent=False)[:2]
-    _check_finite(s_pred, "ei1 step", state.step + 1)
+    _check_finite(s_pred, "ei1 step")
     g_m, f_mid, op, n_hat = _frozen_at(grid, cfg, 0.5 * (u + u_pred),
                                        0.5 * (s + s_pred))
     u_new, u_hat_new = op.advance_spectral(tau, state.u_hat, n_hat,
@@ -140,8 +146,8 @@ def step(grid: Grid, cfg: SchemeConfig, state: SolverState,
     """One step of the scheme ``cfg.scheme`` names: ei1 and stab1 take the
     first-order step, ei2 corrects it at the midpoint.  tau must be finite and
     positive; range and domain errors and a non-finite result are a
-    ``NumericFailure`` naming the step.  The stage's fields are released
-    before the new state's bulk energy is evaluated."""
+    ``NumericFailure`` naming the step, its start time and tau.  The stage's
+    fields are released before the new state's bulk energy is evaluated."""
     positive("tau", tau)
     n = state.step + 1
     try:
@@ -150,10 +156,10 @@ def step(grid: Grid, cfg: SchemeConfig, state: SolverState,
         else:
             u_new, s_new, g, u_hat = _first_order(grid, cfg, state, tau,
                                                   resolvent=cfg.scheme == STAB1)
-        _check_finite(s_new, f"{cfg.scheme} step", n)
+        _check_finite(s_new, f"{cfg.scheme} step")
         e1 = bulk_energy(grid, cfg.potential, u_new)
     except (NumericRangeError, DomainBoundError) as exc:
-        raise NumericFailure(str(exc), step=n) from exc
+        raise NumericFailure(str(exc), n, state.t, tau) from exc
     return SolverState(u=u_new, s=s_new, e1=e1, u_hat=u_hat, t=state.t + tau,
                        step=n, g=g)
 

@@ -45,6 +45,11 @@ def test_numeric_failure_names_step_t_and_tau(capsys):
     err = capsys.readouterr().err
     assert "step 1 " in err and "t=0.0 " in err and "tau=5.0:" in err
     assert "Flory-Huggins evaluation outside (-1, 1)" in err
+    # A step of the convergence study's reference names itself the same way.
+    rc = main(["converge", "--grid-m", "16", "--sigma-a", "1e9", "--taus",
+               "0.25,0.125", "--tau-ref", "0.00390625", "--t-end", "1"])
+    assert rc == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric failure: step ")
 
 
 def test_usage_error_exit_code():
@@ -105,6 +110,8 @@ def test_initial_data_exceeding_beta_is_usage_error():
                "--init", "random", "--lo", "-1.5", "--hi", "1.5",
                "--t-end", "0.1"])
     assert rc == EXIT_USAGE
+    bounds = ["--init", "random", "--lo", "-1.5", "--hi", "1.5"]
+    assert main(SMALL["converge"] + bounds) == EXIT_USAGE
 
 
 def test_converge_output(capsys):

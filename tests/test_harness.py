@@ -25,7 +25,7 @@ from acflow.potentials import (
     interface_energy,
     modified_energy,
 )
-from acflow.schemes import SchemeConfig
+from acflow.schemes import SchemeConfig, initial_state, reference_solution
 from acflow.timestep import AdaptiveStepping, UniformStepping
 
 
@@ -179,14 +179,29 @@ class TestRun:
         with pytest.raises(ValueError, match=r"t=0\.0 .*tau_min=0\.1.*tau_max=0\.3"):
             run(init_random(grid, -0.8, 0.8, 1), cfg)
 
-    def test_checked_run_rejects_initial_data_beyond_beta(self, tmp_path):
+    @pytest.mark.parametrize("entry", [
+        "run-checked", "run-unchecked", "converge", "reference_solution",
+        "initial_state"])
+    def test_initial_data_beyond_beta_is_rejected(self, tmp_path, entry):
+        # Every entry point starts from initial_state, which applies the rule.
         grid = Grid(16)
         out = tmp_path / "traj"
-        cfg = RunConfig(grid=grid, scheme=dw_config(), stepping=UniformStepping(0.1),
-                        t_end=0.2, out_dir=str(out), check_invariants=True)
+        u0, scfg = init_sine(grid, 1.3), dw_config()
+        cfg = RunConfig(grid=grid, scheme=scfg, stepping=UniformStepping(0.1),
+                        t_end=0.2, out_dir=str(out),
+                        check_invariants=entry == "run-checked")
+        enter = {
+            "run-checked": lambda: run(u0, cfg),
+            "run-unchecked": lambda: run(u0, cfg),
+            "converge": lambda: converge(grid, scfg, u0, 1.0, [0.5, 0.25],
+                                         1 / 128),
+            "reference_solution": lambda: reference_solution(grid, scfg, u0,
+                                                             1.0, 1 / 128),
+            "initial_state": lambda: initial_state(grid, scfg, u0),
+        }[entry]
         with pytest.raises(ValueError, match=r"^initial data exceeds the bound "
                            r"beta=1\.0: sup norm 1\.3"):
-            run(init_sine(grid, 1.3), cfg)
+            enter()
         assert not out.exists()
 
     def test_output_files(self, tmp_path):
@@ -277,7 +292,7 @@ class TestOutputFiles:
     def test_failed_step_leaves_record(self, monkeypatch, tmp_path):
         def fail_at_3(state):
             if state.step == 3:
-                raise NumericFailure("injected", step=3)
+                raise NumericFailure("injected", 3, states[-1].t, 0.1)
             return state
 
         out = tmp_path / "traj"
@@ -356,11 +371,11 @@ class TestOutputFiles:
                                                         tmp_path):
         def fail_at_3(state):
             if state.step == 3:
-                raise NumericFailure("injected", step=3)
+                raise NumericFailure("injected", 3, states[-1].t, 0.1)
             return state
 
         out = tmp_path / "traj"
-        u0, cfg, _ = _recorded_run(monkeypatch, out, fail_at=fail_at_3)
+        u0, cfg, states = _recorded_run(monkeypatch, out, fail_at=fail_at_3)
         with pytest.raises(NumericFailure):
             run(u0, cfg)
         assert (out / "failure.json").exists()

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -339,15 +340,23 @@ class TestCarriedSpectrum:
             SolverState(u=np.zeros((8, 8)), s=0.0)
 
 
+def assert_names_step(exc, n, state, tau):
+    """A step failure carries the step index, its start time and tau, and its
+    message leads with them, also after a pickle round trip."""
+    assert (exc.step, exc.t, exc.tau) == (n, state.t, tau)
+    assert str(exc).startswith(f"step {n} from t=")
+    assert str(pickle.loads(pickle.dumps(exc))) == str(exc)
+
+
 class TestFailureModes:
     def test_nonfinite_state_raises_with_step(self):
         grid = Grid(8)
         cfg = dw_config()
         bad = replace(initial_state(grid, cfg, np.full((8, 8), 0.1)), s=np.inf,
-                      step=4)
+                      step=4, t=0.4)
         with pytest.raises(NumericFailure) as exc:
             step(grid, cfg, bad, 0.1)
-        assert exc.value.step == 5
+        assert_names_step(exc.value, 5, bad, 0.1)
 
     def test_nonfinite_predictor_raises_with_step(self):
         # A NaN s passes the constant shaping ratio; the ei2 predictor's
@@ -357,10 +366,10 @@ class TestFailureModes:
         cfg = SchemeConfig(eps=0.01, kappa=pot.lipschitz, potential=pot,
                            sigma=ConstantSigma(), scheme="ei2")
         bad = replace(initial_state(grid, cfg, np.full((8, 8), 0.1)), s=np.nan,
-                      step=4)
+                      step=4, t=0.4)
         with pytest.raises(NumericFailure, match="after ei1 step") as exc:
             step(grid, cfg, bad, 0.1)
-        assert exc.value.step == 5
+        assert_names_step(exc.value, 5, bad, 0.1)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
     @pytest.mark.parametrize("scheme, call, label", [
@@ -392,7 +401,8 @@ class TestFailureModes:
                 pytest.raises(NumericFailure, match=f"after {label}") as exc:
             step(grid, cfg, state, 0.1)
         assert calls[0] == call
-        assert exc.value.step == 1
+        assert_names_step(exc.value, 1, state, 0.1)
+        assert isinstance(exc.value.__cause__, NumericRangeError)
 
     def test_domain_error_raises_with_step(self):
         # |u| = 1 is outside the Flory-Huggins domain; the step index must
@@ -404,10 +414,11 @@ class TestFailureModes:
                            sigma=ExpSigma(1.0), scheme="ei2")
         u = np.zeros((8, 8))
         u[0, 0] = 1.0
+        bad = SolverState(u=u, s=0.0, e1=0.0, u_hat=grid.fast_forward(u),
+                          t=0.4, step=4)
         with pytest.raises(NumericFailure) as exc:
-            step(grid, cfg, SolverState(u=u, s=0.0, e1=0.0,
-                                        u_hat=grid.fast_forward(u), step=4), 0.1)
-        assert exc.value.step == 5
+            step(grid, cfg, bad, 0.1)
+        assert_names_step(exc.value, 5, bad, 0.1)
         assert isinstance(exc.value.__cause__, DomainBoundError)
 
     def test_overflowing_stabilization_raises_with_step(self):
@@ -416,9 +427,10 @@ class TestFailureModes:
         cfg = dw_config(a=1000.0)
         u = init_random(grid, -0.5, 0.5, 1)
         start = initial_state(grid, cfg, u)
+        bad = replace(start, s=start.s + 0.7095, step=2, t=0.2)
         with pytest.raises(NumericFailure, match="kappa") as exc:
-            step(grid, cfg, replace(start, s=start.s + 0.7095, step=2), 0.1)
-        assert exc.value.step == 3
+            step(grid, cfg, bad, 0.1)
+        assert_names_step(exc.value, 3, bad, 0.1)
         assert isinstance(exc.value.__cause__, NumericRangeError)
 
     def test_rejects_nonpositive_tau(self):

@@ -24,3 +24,15 @@ def test_workload_runs_clean_at_smoke_size(name, tmp_path):
     res = wl.check(ctx, scratch, wl.op(ctx, scratch))
     assert res.failures == []
     assert res.steps > 0
+
+
+def test_tracer_installs_and_restores_the_package():
+    # tracing.TARGETS names acflow's classes and functions when it is
+    # imported, so a renamed or removed class fails the import here.
+    import tracing
+    from acflow import harness, schemes
+
+    step, run = schemes.step, harness.run
+    with tracing.Tracer().installed():
+        assert schemes.step is not step and harness.run is not run
+    assert schemes.step is step and harness.run is run
