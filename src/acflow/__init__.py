@@ -2,7 +2,7 @@
 gradient flows: pointwise-bound and energy-decay preserving first- and
 second-order SAV schemes on uniform 2D grids."""
 
-from .errors import AcflowError, DomainBoundError, NumericFailure, NumericRangeError
+from .errors import AcflowError, NumericFailure, NumericRangeError
 from .expkernel import StabilizedOperator, phi1
 from .grid import Grid
 from .harness import RunConfig, converge, init_random, init_sine, run
@@ -28,7 +28,6 @@ __all__ = [
     "AdaptiveStepping",
     "ArctanSigma",
     "ConstantSigma",
-    "DomainBoundError",
     "DoubleWell",
     "ExpSigma",
     "FloryHuggins",

@@ -22,13 +22,10 @@ class AcflowError(Exception):
     """Base class for package-specific failures."""
 
 
-class DomainBoundError(AcflowError):
-    """A field left the admissible pointwise range (e.g. |u| >= 1 for the
-    logarithmic potential), which signals an upstream bound violation."""
-
-
 class NumericRangeError(AcflowError):
-    """A scalar evaluation produced a non-finite or out-of-range value."""
+    """A value a step forms left its range: a field outside the Flory-Huggins
+    domain (-1, 1), a shaping ratio or kappa*g out of range, or a non-finite
+    state.  ``step`` re-raises it as a ``NumericFailure``."""
 
 
 class NumericFailure(AcflowError):

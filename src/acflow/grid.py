@@ -30,6 +30,9 @@ class Grid:
         self.boundary = boundary
         # L and M are stored; h is derived so h*M == L exactly.
         self.h = self.length / self.m
+        if not (0.0 < self.h * self.h < np.inf and 8.0 / (self.h * self.h) < np.inf):
+            raise ValueError(f"L={self.length!r}, M={self.m} give h={self.h!r}: h*h "
+                             "and 8/(h*h) must be finite and positive")
         # Laplacian eigenvalues in the layout of ``fast_forward``'s spectra.
         self.multiplier_eigenvalues = self._build_multiplier_eigenvalues()
         self.energy_weights = self._build_energy_weights()

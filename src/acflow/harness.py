@@ -102,28 +102,26 @@ def _write_snapshot(out_dir: str, state: SolverState) -> str:
 
 
 class InvariantViolation(NumericFailure):
-    """Raised in checked runs when MBP, modified-energy monotonicity or the
-    bound s <= E(u0) fails on the step from ``prev``; ``row`` is the
-    violating diagnostics row, and the failure is dated at ``prev.t``."""
-
-    def __init__(self, message: str, prev: SolverState, row: DiagnosticsRow):
-        super().__init__(message, row.step, prev.t, row.tau)
-        self.row = row
+    """A checked run's step broke MBP, modified-energy monotonicity or the
+    bound s <= E(u0).  Made like a ``NumericFailure``; ``row``, set on it
+    after, is the violating diagnostics row and survives a pickle round trip."""
 
 
 def _check_invariants(prev: SolverState, rows: list[DiagnosticsRow], beta: float):
-    """Check the row of the step from ``prev`` against beta, rows[-2] and E(u0)."""
+    """Check the row of the step from ``prev`` against beta, rows[-2] and E(u0);
+    an ``InvariantViolation`` names the first rule it breaks."""
     row, prev_modified, e0 = rows[-1], rows[-2].modified_energy, rows[0].energy
     if row.sup_norm > beta + MBP_TOL:
-        raise InvariantViolation(
-            f"MBP violated: sup norm {row.sup_norm} > beta {beta}", prev, row)
-    if row.modified_energy > prev_modified + ENERGY_TOL:
-        raise InvariantViolation(
-            f"modified energy increased: {prev_modified} -> {row.modified_energy}",
-            prev, row)
-    if row.s > e0 + ENERGY_TOL:
-        raise InvariantViolation(
-            f"auxiliary variable s={row.s} exceeds E(u0)={e0}", prev, row)
+        message = f"MBP violated: sup norm {row.sup_norm} > beta {beta}"
+    elif row.modified_energy > prev_modified + ENERGY_TOL:
+        message = f"modified energy increased: {prev_modified} -> {row.modified_energy}"
+    elif row.s > e0 + ENERGY_TOL:
+        message = f"auxiliary variable s={row.s} exceeds E(u0)={e0}"
+    else:
+        return
+    exc = InvariantViolation(message, row.step, prev.t, row.tau)
+    exc.row = row
+    raise exc
 
 
 def _write_failure(out_dir: str, exc: NumericFailure, state: SolverState,

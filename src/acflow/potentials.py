@@ -14,7 +14,7 @@ import sys
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainBoundError, NumericRangeError, positive
+from .errors import NumericRangeError, positive
 from .grid import Grid, row_strips
 
 
@@ -56,9 +56,9 @@ class DoubleWell:
 class FloryHuggins:
     """Logarithmic Flory-Huggins free energy with critical mixing parameters.
 
-    Requires theta_c > theta > 0; the reaction's positive root beta then lies
-    strictly inside (0, 1), keeping the log singularities at +-1 outside the
-    invariant interval.
+    Requires theta_c > theta > 0, and theta_c/theta below ~14.16, so that
+    the reaction's positive root beta lies in [1e-12, 1 - 1e-12], keeping the
+    log singularities at +-1 outside the invariant interval.
     """
 
     name = "flory-huggins"
@@ -69,15 +69,17 @@ class FloryHuggins:
         self.theta = float(theta)
         self.theta_c = float(theta_c)
         self.beta = self._compute_beta()
-        # f' = theta_c - theta / (1 - u^2) is monotone in u^2, so |f'| peaks
-        # at an endpoint of [0, beta].
+        # |f'| peaks at 0 or beta: f' = theta_c - theta / (1 - u^2) is monotone in u^2.
         self.lipschitz = max(abs(self._fprime(0.0)), abs(self._fprime(self.beta)))
 
     def _compute_beta(self) -> float:
-        # f(0+) > 0 and f(u) -> -inf as u -> 1-, so a sign change exists.
         lo, hi = 1e-12, 1.0 - 1e-12
-        if self.f(lo) <= 0 or self.f(hi) >= 0:
-            raise ValueError("no sign change of f on (0, 1); invalid parameters")
+        if self.f(lo) <= 0:  # theta_c lo and theta lo round to one float
+            raise ValueError("f(1e-12) <= 0: theta_c/theta is 1 to rounding")
+        if self.f(hi) >= 0:
+            raise ValueError(f"theta_c/theta = {self.theta_c / self.theta!r} >= "
+                             f"artanh(hi)/hi = {math.atanh(hi) / hi!r} "
+                             "at hi = 1 - 1e-12: the root of f lies within 1e-12 of 1")
         beta = float(brentq(self.f, lo, hi, xtol=1e-12))
         # brentq stops within xtol of the root on either side; the invariant
         # interval needs f(beta) <= 0 (and f(-beta) >= 0, f being odd), and
@@ -88,15 +90,15 @@ class FloryHuggins:
         return -self.theta / (1.0 - u * u) + self.theta_c
 
     def _check_domain(self, u, piece):
-        # Checks a strip of u just before it is computed, with one read per
-        # bound and no |u| copy; only the message reads the whole field.
-        # fmax and fmin skip NaN as |u| >= 1 does, so a NaN entry alone does
-        # not raise; an empty u reduces to the initial values and passes.
+        """``NumericRangeError`` naming max |u| if a strip of u leaves (-1, 1).
+        One read per bound and no |u| copy; only the message reads all of u.
+        fmax and fmin skip NaN as |u| >= 1 does, so a NaN entry alone does
+        not raise; an empty u reduces to the initial values and passes."""
         hi, lo = _max_min(piece)
         if hi >= 1.0 or lo <= -1.0:
             hi, lo = _max_min(u)
-            raise DomainBoundError("Flory-Huggins evaluation outside (-1, 1): "
-                                   f"max |u| = {max(hi, -lo)}")
+            raise NumericRangeError("Flory-Huggins evaluation outside (-1, 1): "
+                                    f"max |u| = {max(hi, -lo)}")
 
     def f(self, u):
         u = np.asarray(u, dtype=float)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainBoundError, NumericFailure, NumericRangeError, positive
+from .errors import NumericFailure, NumericRangeError, positive
 from .expkernel import StabilizedOperator
 from .grid import Grid
 from .potentials import bulk_energy
@@ -40,6 +40,7 @@ class SchemeConfig:
 
     def __post_init__(self):
         positive("eps", self.eps)
+        positive("eps^2", self.eps * self.eps)
         positive("kappa", self.kappa)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
@@ -145,7 +146,7 @@ def step(grid: Grid, cfg: SchemeConfig, state: SolverState,
          tau: float) -> SolverState:
     """One step of the scheme ``cfg.scheme`` names: ei1 and stab1 take the
     first-order step, ei2 corrects it at the midpoint.  tau must be finite and
-    positive; range and domain errors and a non-finite result are a
+    positive; a value out of range (a ``NumericRangeError``) is re-raised as a
     ``NumericFailure`` naming the step, its start time and tau.  The stage's
     fields are released before the new state's bulk energy is evaluated."""
     positive("tau", tau)
@@ -158,7 +159,7 @@ def step(grid: Grid, cfg: SchemeConfig, state: SolverState,
                                                   resolvent=cfg.scheme == STAB1)
         _check_finite(s_new, f"{cfg.scheme} step")
         e1 = bulk_energy(grid, cfg.potential, u_new)
-    except (NumericRangeError, DomainBoundError) as exc:
+    except NumericRangeError as exc:
         raise NumericFailure(str(exc), n, state.t, tau) from exc
     return SolverState(u=u_new, s=s_new, e1=e1, u_hat=u_hat, t=state.t + tau,
                        step=n, g=g)

@@ -89,12 +89,26 @@ SMALL = {"run": ["run", "--grid-m", "16", "--t-end", "0.1"],
     ("run --sigma-a nan", "exp sigma rate a"),
     ("run --grid-l nan", "domain side length"),
     ("run --adaptive --alpha nan", "alpha"),
+    ("run --eps 1e300", "eps^2"),
+    ("run --eps 1e-170", "eps^2"),
 ])
 def test_parameter_must_be_finite_and_positive(args, name, capsys):
     # A later flag overrides the small set-up's value of the same flag.
     command, *flags = args.split()
     assert main(SMALL[command] + flags) == EXIT_USAGE
     assert f"usage error: {name} must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1e-320", "1e-300", "1e-160", "1e160", "1e300"])
+@pytest.mark.parametrize("flag", ["--grid-l", "--theta", "--theta-c", "--sigma-a",
+                                  "--eps", "--kappa", "--amplitude", "--lo", "--hi"])
+def test_extreme_setup_values_exit_cleanly(flag, value):
+    # Every set-up value, however extreme, ends in an exit code: a result, a
+    # usage error or a numeric failure, never an exception out of main.
+    # Step sizes are left out: a tiny tau really takes t_end/tau steps.
+    args = ["run", "--grid-m", "8", "--potential", "flory-huggins", "--init",
+            "random", "--t-end", "0.01", "--tau", "0.01", flag, value]
+    assert main(args) in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC)
 
 
 @pytest.mark.parametrize("taus", ["0.25", "0.25,0.25"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,20 @@ class TestValidation:
     def test_dense_laplacian_size_guard(self):
         with pytest.raises(ValueError):
             dense_laplacian(Grid(32))
+
+    @pytest.mark.parametrize("m, length", [(128, 1e-160), (8, 1e-160), (8, 1e160),
+                                           (8, 1.28e-153)])
+    def test_rejects_unusable_spacing(self, m, length):
+        # h*h underflows or overflows, or 8/(h*h), the Laplacian's largest
+        # |eigenvalue|, overflows: a ValueError naming L and M, not a
+        # ZeroDivisionError, an OverflowError or a NaN or -inf eigenvalue.
+        with pytest.raises(ValueError, match=re.escape(f"L={length!r}, M={m} give h=")):
+            Grid(m, length)
+
+    @pytest.mark.parametrize("h", [2.2e-154, 1.3e154])
+    def test_accepts_spacing_near_the_edges(self, h, boundary):
+        grid = Grid(8, 8 * h, boundary)
+        assert np.all(np.isfinite(grid.multiplier_eigenvalues))
 
     def test_h_times_m_is_length(self):
         grid = Grid(7, 1.0)

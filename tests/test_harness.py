@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -320,6 +321,14 @@ class TestOutputFiles:
         assert states[-1].step == 2
         assert field.tobytes() == states[-1].u.tobytes()
 
+    @staticmethod
+    def assert_pickles(exc):
+        """A pickle round trip keeps the type, message, step, t, tau and row."""
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc)
+        assert (back.step, back.t, back.tau, back.row) == (exc.step, exc.t, exc.tau,
+                                                           exc.row)
+
     def test_invariant_violation_leaves_record(self, monkeypatch, tmp_path):
         def break_mbp_at_3(state):
             if state.step == 3:
@@ -335,6 +344,7 @@ class TestOutputFiles:
         lines = (out / "diagnostics.csv").read_text().splitlines()
         assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 1, 2, 3]
         assert lines[-1] == info.value.row.render()
+        self.assert_pickles(info.value)
         record = json.loads((out / "failure.json").read_text())
         assert (record["step"], record["error"]) == (3, "InvariantViolation")
         assert harness.DiagnosticsRow(**record["last_good_row"]).render() == lines[-2]
@@ -360,8 +370,9 @@ class TestOutputFiles:
                         check_invariants=True)
         with pytest.raises(InvariantViolation, match=r"^step 3 from t=.* with "
                            r"tau=0\.1: auxiliary variable s=1\.2.* exceeds "
-                           r"E\(u0\)=0\.0$"):
+                           r"E\(u0\)=0\.0$") as info:
             run(np.ones((16, 16)), cfg)
+        self.assert_pickles(info.value)
         record = json.loads((out / "failure.json").read_text())
         assert (record["step"], record["error"]) == (3, "InvariantViolation")
         assert record["last_good_row"]["step"] == 2

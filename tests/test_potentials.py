@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from acflow.errors import DomainBoundError, NumericRangeError
+from acflow.errors import NumericRangeError
 from acflow.grid import Grid
 from acflow.potentials import (
     ArctanSigma,
@@ -101,11 +101,14 @@ class TestFloryHuggins:
             FloryHuggins(theta=0.8, theta_c=0.8)
         with pytest.raises(ValueError):
             FloryHuggins(theta=-1.0, theta_c=1.0)
+        with pytest.raises(ValueError, match=r"theta_c/theta = 15\.0 >= .*"
+                           r"the root of f lies within 1e-12 of 1$"):
+            FloryHuggins(theta=0.8, theta_c=12.0)
 
     def test_domain_error_at_unit(self):
-        with pytest.raises(DomainBoundError):
+        with pytest.raises(NumericRangeError):
             self.pot.f(np.array([0.0, 1.0]))
-        with pytest.raises(DomainBoundError):
+        with pytest.raises(NumericRangeError):
             self.pot.F(1.5)
 
     @pytest.mark.parametrize("name", ["f", "F"])
@@ -113,7 +116,7 @@ class TestFloryHuggins:
                                    [-1.5, np.nan], np.full((3, 3), -1.0)],
                              ids=str)
     def test_domain_error_set(self, name, u):
-        with pytest.raises(DomainBoundError):
+        with pytest.raises(NumericRangeError):
             getattr(self.pot, name)(np.asarray(u))
 
     @pytest.mark.parametrize("name", ["f", "F"])
@@ -123,7 +126,7 @@ class TestFloryHuggins:
         # the domain, which would warn.
         u = np.zeros((300, 300))
         u[-1, -1] = -1.5
-        with pytest.raises(DomainBoundError, match=r"\(-1, 1\): max \|u\| = 1\.5$"):
+        with pytest.raises(NumericRangeError, match=r"\(-1, 1\): max \|u\| = 1\.5$"):
             getattr(self.pot, name)(u)
 
     @pytest.mark.parametrize("name", ["f", "F"])

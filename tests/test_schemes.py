@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import acflow
-from acflow.errors import DomainBoundError, NumericFailure, NumericRangeError
+from acflow.errors import NumericFailure, NumericRangeError
 from acflow.expkernel import StabilizedOperator, dense_expm, dense_phi1m
 from acflow.grid import Grid
 from acflow.harness import _make_row, init_random, init_sine
@@ -419,7 +419,7 @@ class TestFailureModes:
         with pytest.raises(NumericFailure) as exc:
             step(grid, cfg, bad, 0.1)
         assert_names_step(exc.value, 5, bad, 0.1)
-        assert isinstance(exc.value.__cause__, DomainBoundError)
+        assert isinstance(exc.value.__cause__, NumericRangeError)
 
     def test_overflowing_stabilization_raises_with_step(self):
         # g = exp(1000 * 0.7095) is finite, but kappa g = 2 g overflows.
