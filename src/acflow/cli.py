@@ -45,7 +45,8 @@ def _add_setup(p: argparse.ArgumentParser):
     p.add_argument("--scheme", choices=SCHEMES, default="ei2")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--kappa", type=float, default=None,
-                   help="stabilizing constant; defaults to the Lipschitz bound")
+                   help="stabilizing constant; defaults to the Lipschitz bound; "
+                        "far above it (~1e23) ei2 loses energy decay to roundoff")
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--init", choices=["sine", "random"], default="sine")
     p.add_argument("--amplitude", type=float, default=0.1)

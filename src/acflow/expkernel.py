@@ -1,16 +1,12 @@
-"""Spectral kernels of the stabilized operator L = c I - eps^2 Lap_h.
-
-The production path works in the trigonometric eigenbasis (FFT / DCT-II);
-the dense matrix routines are small-grid oracles for ``acflow.verify`` and
-are deliberately independent of both scipy.linalg and the spectral path.
-"""
+"""Spectral kernels of the stabilized operator L = c I - eps^2 Lap_h,
+applied in the trigonometric eigenbasis (FFT / DCT-II)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import positive
-from .grid import Grid, dense_laplacian, row_strips
+from .grid import Grid, row_strips
 
 
 def phi1(z):
@@ -39,14 +35,6 @@ class StabilizedOperator:
         self.c = positive("stabilization coefficient", c)
         self.eps2 = positive("eps^2", eps2)
 
-    def advance(self, tau: float, v: np.ndarray, nonlin: np.ndarray) -> np.ndarray:
-        """e^{-tau L} v + tau * phi1(-tau L) nonlin, fields in and out: the
-        oracle's form of ``advance_spectral``, which leaves v and nonlin as
-        they are."""
-        forward = self.grid.fast_forward
-        return self.advance_spectral(tau, forward(v), forward(nonlin),
-                                     resolvent=False)[0]
-
     def advance_spectral(self, tau: float, v_hat: np.ndarray, n_hat: np.ndarray,
                          resolvent: bool) -> tuple[np.ndarray, np.ndarray]:
         """a v + tau * b N with one inverse transform, given the spectra
@@ -74,36 +62,3 @@ class StabilizedOperator:
                 a = np.exp(z, out=z)
             n += v * a
         return self.grid.fast_inverse(n_hat), n_hat
-
-    def dense_matrix(self) -> np.ndarray:
-        """Explicit (M^2, M^2) matrix of L. Oracle only; refuses M > 16."""
-        n = self.grid.m ** 2
-        return self.c * np.eye(n) - self.eps2 * dense_laplacian(self.grid)
-
-
-def dense_expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Taylor core.
-
-    The argument is scaled by 2^-s until its 1-norm is below 1/2, a 20-term
-    Taylor series is summed, and the result is squared s times.  Oracle-grade
-    accuracy, not performance.
-    """
-    a = np.asarray(a, dtype=float)
-    norm = np.linalg.norm(a, 1)
-    s = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    b = a / (2.0 ** s)
-    n = a.shape[0]
-    result = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 21):
-        term = term @ b / k
-        result = result + term
-    for _ in range(s):
-        result = result @ result
-    return result
-
-
-def dense_phi1m(a: np.ndarray) -> np.ndarray:
-    """phi1(A) = A^{-1}(e^A - I) for invertible A. Oracle only."""
-    a = np.asarray(a, dtype=float)
-    return np.linalg.solve(a, dense_expm(a) - np.eye(a.shape[0]))

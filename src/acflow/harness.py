@@ -33,7 +33,7 @@ def init_random(grid: Grid, lo: float, hi: float, seed: int) -> np.ndarray:
     so identical seeds give bitwise-identical fields on any platform."""
     if lo > hi:
         raise ValueError(f"need lo <= hi, got {lo} > {hi}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(whole("seed", seed, 0)))
     return lo + (hi - lo) * rng.random((grid.m, grid.m))
 
 

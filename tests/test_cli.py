@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -164,6 +167,24 @@ def test_verify_seed_zero_is_used(capsys):
     rc = main(["verify", "--profile", "lemmas", "--seed", "0"])
     assert rc == EXIT_OK
     assert json.loads(capsys.readouterr().out) == verify_suite(("lemmas",), seed=0)
+
+
+@pytest.mark.parametrize("args", [
+    "run --grid-m 8 --t-end 0.01 --init random --seed -1",
+    "verify --profile lemmas --seed -1",
+])
+def test_seed_must_be_non_negative(args, capsys):
+    assert main(args.split()) == EXIT_USAGE
+    assert "usage error: seed must be an integer >= 0" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "acflow.cli", "verify",
+                           "--profile", "lemmas"], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["passed"] is True
 
 
 def test_verify_rejects_run_flags():

@@ -220,6 +220,8 @@ class TestValidation:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             Grid(1)
+        with pytest.raises(ValueError, match="unknown boundary 'bogus'"):
+            Grid(8, 1.0, "bogus")
 
     @pytest.mark.parametrize("m", [2.5, 8.0, np.float64(8), "8"],
                              ids=["2.5", "8.0", "float64-8", "str-8"])

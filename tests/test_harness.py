@@ -378,6 +378,34 @@ class TestOutputFiles:
         assert record["last_good_row"]["step"] == 2
         assert (out / record["field"]).exists()
 
+    def test_energy_rise_leaves_record(self, monkeypatch, tmp_path):
+        # From a pure state s jumps to 1e-9 at step 2: the modified energy
+        # rises by more than ENERGY_TOL, which is checked before s's bound.
+        original = harness.step
+
+        def planted(*args):
+            state = original(*args)
+            if state.step == 2:
+                state.s = 1e-9
+            return state
+
+        monkeypatch.setattr(harness, "step", planted)
+        out = tmp_path / "traj"
+        cfg = RunConfig(grid=Grid(16), scheme=dw_config("ei2"),
+                        stepping=UniformStepping(0.1), t_end=0.6, out_dir=str(out),
+                        check_invariants=True)
+        with pytest.raises(InvariantViolation, match=r"^step 2 from t=0\.1 with "
+                           r"tau=0\.1: modified energy increased: 0\.0 -> "
+                           r"1e-09$") as info:
+            run(np.ones((16, 16)), cfg)
+        assert (info.value.step, info.value.t, info.value.tau) == (2, 0.1, 0.1)
+        self.assert_pickles(info.value)
+        record = json.loads((out / "failure.json").read_text())
+        assert (record["step"], record["t"], record["tau"]) == (2, 0.1, 0.1)
+        assert record["error"] == "InvariantViolation"
+        assert record["last_good_row"]["step"] == 1
+        assert (out / record["field"]).exists()
+
     def test_success_removes_an_earlier_failure_record(self, monkeypatch,
                                                         tmp_path):
         def fail_at_3(state):
@@ -420,6 +448,9 @@ class TestConverge:
         with pytest.raises(ValueError):
             converge(grid, dw_config(), init_sine(grid, 0.1), 1.0,
                      taus=[1 / 4], tau_ref=1 / 16)
+        with pytest.raises(ValueError, match="too coarse"):
+            converge(grid, dw_config(), init_sine(grid, 0.1), 1.0,
+                     taus=[1 / 4, 1 / 8], tau_ref=1 / 128)
 
     def test_rejects_nondividing_tau(self):
         grid = Grid(16)

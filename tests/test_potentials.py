@@ -15,6 +15,7 @@ from acflow.potentials import (
     TanhSigma,
     bulk_energy,
     make_potential,
+    make_sigma,
     modified_energy,
     total_energy,
 )
@@ -104,6 +105,8 @@ class TestFloryHuggins:
         with pytest.raises(ValueError, match=r"theta_c/theta = 15\.0 >= .*"
                            r"the root of f lies within 1e-12 of 1$"):
             FloryHuggins(theta=0.8, theta_c=12.0)
+        with pytest.raises(ValueError, match="theta_c/theta is 1 to rounding"):
+            FloryHuggins(7.299257909835141, 7.299257909835142)
 
     def test_domain_error_at_unit(self):
         with pytest.raises(NumericRangeError):
@@ -314,3 +317,5 @@ def test_make_potential_dispatch():
     assert isinstance(fh, FloryHuggins)
     with pytest.raises(ValueError):
         make_potential("cubic")
+    with pytest.raises(ValueError, match="unknown sigma 'bogus'"):
+        make_sigma("bogus")

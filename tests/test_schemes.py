@@ -6,8 +6,8 @@ import pytest
 
 import acflow
 from acflow.errors import NumericFailure, NumericRangeError
-from acflow.expkernel import StabilizedOperator, dense_expm, dense_phi1m
-from acflow.grid import Grid
+from acflow.expkernel import StabilizedOperator
+from acflow.grid import Grid, dense_laplacian
 from acflow.harness import _make_row, init_random, init_sine
 from acflow.potentials import (
     ConstantSigma,
@@ -26,6 +26,7 @@ from acflow.schemes import (
     reference_solution,
     step,
 )
+from acflow.verify import dense_expm, dense_phi1m
 
 
 def test_every_public_name_resolves():
@@ -95,8 +96,7 @@ class TestDenseOracleAgreement:
         u, s = state.u, state.s
         g_n = cfg.sigma.ratio(s, bulk_energy(grid, cfg.potential, u))
         fu = cfg.potential.f(u)
-        op = StabilizedOperator(grid, cfg.kappa * g_n, cfg.eps**2)
-        L = op.dense_matrix()
+        L = cfg.kappa * g_n * np.eye(64) - cfg.eps**2 * dense_laplacian(grid)
         N = (g_n * (fu + cfg.kappa * u)).ravel()
         u1 = (dense_expm(-tau * L) @ u.ravel()
               + tau * dense_phi1m(-tau * L) @ N).reshape(u.shape)
@@ -125,8 +125,8 @@ class TestDenseOracleAgreement:
             state = initial_state(grid, cfg, u)
             tau = rng.uniform(1e-3, 1.0)
             g_n = cfg.sigma.ratio(state.s, bulk_energy(grid, cfg.potential, u))
-            op = StabilizedOperator(grid, cfg.kappa * g_n, cfg.eps**2)
-            L = op.dense_matrix()
+            L = (cfg.kappa * g_n * np.eye(64)
+                 - cfg.eps**2 * dense_laplacian(grid))
             N = (g_n * (cfg.potential.f(u) + cfg.kappa * u)).ravel()
             want = np.linalg.solve(np.eye(64) + tau * L,
                                    u.ravel() + tau * N).reshape(8, 8)
@@ -439,3 +439,5 @@ class TestFailureModes:
         state = initial_state(grid, cfg, np.zeros((8, 8)))
         with pytest.raises(ValueError):
             step(grid, cfg, state, 0.0)
+        with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+            dw_config(scheme="bogus")
