@@ -46,7 +46,8 @@ def _add_setup(p: argparse.ArgumentParser):
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--kappa", type=float, default=None,
                    help="stabilizing constant; defaults to the Lipschitz bound; "
-                        "far above it (~1e23) ei2 loses energy decay to roundoff")
+                        "far above it (~1e23) ei2 loses energy decay to roundoff "
+                        "and the run fails")
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--init", choices=["sine", "random"], default="sine")
     p.add_argument("--amplitude", type=float, default=0.1)
@@ -71,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", type=str, default=None)
     p_run.add_argument("--snapshot-every", type=int, default=0)
     p_run.add_argument("--check-invariants", action="store_true",
-                       help="check MBP, energy decay, s <= E(u0) after each step")
+                       help="also check MBP after each step, and energy decay "
+                            "and s <= E(u0) to 1e-10, not 1e-10*max(1, |E(u0)|)")
 
     p_conv = sub.add_parser("converge", help="temporal convergence sweep")
     _add_setup(p_conv)

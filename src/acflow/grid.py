@@ -1,10 +1,12 @@
-"""Uniform 2D grid, discrete operators, and the diagonalizing trigonometric basis.
+"""Uniform 2D grid, its inner products, and the diagonalizing trigonometric basis.
 
 A grid function is a plain ``(M, M)`` float array ``v`` with ``v[i, j]``
 living at the mesh point ``(x_i, y_j)``.  The first array axis is x.
 Periodic grids place nodes at ``x_i = (i+1) h``; homogeneous-Neumann grids
 are cell-centered, ``x_i = (i + 1/2) h``, and realize the boundary by
-mirror reflection, which the type-II cosine transform diagonalizes.
+mirror reflection, which the type-II cosine transform diagonalizes.  The
+five-point Laplacian acts only through its eigenvalues in that basis; its
+stencil and dense matrix are oracles in ``acflow.verify``.
 """
 
 from __future__ import annotations
@@ -52,27 +54,6 @@ class Grid:
         if not np.all(np.isfinite(v)):
             raise ValueError("grid function contains non-finite entries")
         return v
-
-    # -- stencil operators --------------------------------------------------
-
-    def _shift(self, v: np.ndarray, offset: int, axis: int) -> np.ndarray:
-        if self.boundary == PERIODIC:
-            return np.roll(v, -offset, axis=axis)
-        # Mirror reflection: the ghost cell copies the adjacent interior cell.
-        return np.take(v, np.clip(np.arange(self.m) + offset, 0, self.m - 1),
-                       axis=axis)
-
-    def laplacian(self, v: np.ndarray) -> np.ndarray:
-        """Five-point stencil (v_E + v_W + v_N + v_S - 4 v) / h^2."""
-        out = (self._shift(v, 1, 0) + self._shift(v, -1, 0)
-               + self._shift(v, 1, 1) + self._shift(v, -1, 1) - 4.0 * v)
-        return out / (self.h * self.h)
-
-    def gradient(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Forward differences; the Neumann ghost makes the last difference 0."""
-        gx = (self._shift(v, 1, 0) - v) / self.h
-        gy = (self._shift(v, 1, 1) - v) / self.h
-        return gx, gy
 
     # -- inner products -----------------------------------------------------
 
@@ -149,25 +130,3 @@ def row_strips(*arrays: np.ndarray):
     rows = max(1, STRIP_SIZE // (a.size // len(a)))
     return [tuple(x[i:i + rows] for x in arrays) for i in range(0, len(a), rows)]
 
-
-def dense_laplacian(grid: Grid) -> np.ndarray:
-    """Explicit (M^2, M^2) matrix of the five-point Laplacian. Oracle only."""
-    if grid.m > 16:
-        raise ValueError(f"dense Laplacian refused for M={grid.m} > 16")
-    m = grid.m
-    n = m * m
-    a = np.zeros((n, n))
-    for i in range(m):
-        for j in range(m):
-            row = i * m + j
-            a[row, row] -= 4.0
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ii, jj = i + di, j + dj
-                if grid.boundary == PERIODIC:
-                    ii %= m
-                    jj %= m
-                else:
-                    ii = min(max(ii, 0), m - 1)
-                    jj = min(max(jj, 0), m - 1)
-                a[row, ii * m + jj] += 1.0
-    return a / (grid.h * grid.h)

@@ -3,9 +3,9 @@ and temporal convergence studies."""
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
+import re
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -17,7 +17,8 @@ from .schemes import (MBP_TOL, SchemeConfig, SolverState, initial_state,
                       reference_solution, step)
 from .timestep import steps_to
 
-# Slack of the energy checks of a run with check_invariants on.
+# Slack of the energy checks of a run with check_invariants on; a run without
+# them allows ENERGY_TOL * max(1, |E(u0)|), some ulps of E where |E| is large.
 ENERGY_TOL = 1e-10
 
 
@@ -45,7 +46,7 @@ class RunConfig:
     t_end: float
     out_dir: str | None = None
     snapshot_every: int = 0
-    check_invariants: bool = False  # per step: MBP, energy decay, s <= E(u0)
+    check_invariants: bool = False  # adds MBP; energy slack ENERGY_TOL, unscaled
 
     def __post_init__(self):
         positive("t_end", self.t_end)
@@ -102,20 +103,24 @@ def _write_snapshot(out_dir: str, state: SolverState) -> str:
 
 
 class InvariantViolation(NumericFailure):
-    """A checked run's step broke MBP, modified-energy monotonicity or the
-    bound s <= E(u0).  Made like a ``NumericFailure``; ``row``, set on it
-    after, is the violating diagnostics row and survives a pickle round trip."""
+    """A run's step broke modified-energy monotonicity or the bound
+    s <= E(u0), or, in a checked run, MBP.  Made like a ``NumericFailure``;
+    ``row``, set on it after, is the violating diagnostics row and survives a
+    pickle round trip."""
 
 
-def _check_invariants(prev: SolverState, rows: list[DiagnosticsRow], beta: float):
-    """Check the row of the step from ``prev`` against beta, rows[-2] and E(u0);
-    an ``InvariantViolation`` names the first rule it breaks."""
+def _check_invariants(prev: SolverState, rows: list[DiagnosticsRow], beta: float,
+                      checked: bool):
+    """Check the row of the step from ``prev`` against rows[-2] and E(u0), and
+    against beta if ``checked``; an ``InvariantViolation`` names the first rule
+    it breaks."""
     row, prev_modified, e0 = rows[-1], rows[-2].modified_energy, rows[0].energy
-    if row.sup_norm > beta + MBP_TOL:
+    tol = ENERGY_TOL if checked else ENERGY_TOL * max(1.0, abs(e0))
+    if checked and row.sup_norm > beta + MBP_TOL:
         message = f"MBP violated: sup norm {row.sup_norm} > beta {beta}"
-    elif row.modified_energy > prev_modified + ENERGY_TOL:
+    elif row.modified_energy > prev_modified + tol:
         message = f"modified energy increased: {prev_modified} -> {row.modified_energy}"
-    elif row.s > e0 + ENERGY_TOL:
+    elif row.s > e0 + tol:
         message = f"auxiliary variable s={row.s} exceeds E(u0)={e0}"
     else:
         return
@@ -141,12 +146,15 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
 
     Returns the final state and one diagnostics row per step (plus the t = 0
     row).  When an output directory is set, removes an earlier run's
-    failure.json from it, then streams diagnostics.csv and writes the
-    requested snapshots as it goes.  A failing step (a ``NumericFailure``,
-    ``InvariantViolation`` included, naming the step, its start time and
-    size) leaves failure.json and the last good field in the output
-    directory, and is re-raised.  Snapshots without an output directory and
-    initial data outside [-beta, beta] are a ``ValueError``.
+    failure.json and snapshots u_<k>.npy from it, then streams
+    diagnostics.csv and writes the requested snapshots as it goes.  Every
+    step must keep modified-energy decay and s <= E(u0), to ENERGY_TOL *
+    max(1, |E(u0)|), or with ``check_invariants`` to ENERGY_TOL and MBP too.
+    A failing step (a ``NumericFailure``, ``InvariantViolation`` included,
+    naming the step, its start time and size) leaves failure.json and the
+    last good field in the output directory, and is re-raised.  Snapshots
+    without an output directory and initial data outside [-beta, beta] are a
+    ``ValueError``.
     """
     grid, scfg, stepping, out_dir = cfg.grid, cfg.scheme, cfg.stepping, cfg.out_dir
     every = cfg.snapshot_every
@@ -158,8 +166,9 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
     csv = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, "failure.json"))
+        for name in os.listdir(out_dir):
+            if name == "failure.json" or re.fullmatch(r"u_[0-9]+\.npy", name):
+                os.remove(os.path.join(out_dir, name))
         # Line-buffered, so each row is in the file once it is made.
         csv = open(os.path.join(out_dir, "diagnostics.csv"), "w", buffering=1)
         csv.write(DIAGNOSTICS_HEADER + "\n")
@@ -174,8 +183,8 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
                 rows.append(row)
                 if csv is not None:
                     write_diagnostics(csv, row)
-                if cfg.check_invariants:
-                    _check_invariants(state, rows, scfg.potential.beta)
+                _check_invariants(state, rows, scfg.potential.beta,
+                                  cfg.check_invariants)
             except NumericFailure as exc:
                 if out_dir is not None:
                     _write_failure(out_dir, exc, state, rows[state.step])

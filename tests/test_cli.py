@@ -114,6 +114,17 @@ def test_extreme_setup_values_exit_cleanly(flag, value):
     assert main(args) in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC)
 
 
+@pytest.mark.parametrize("kappa", ["1e23", "1e160"])
+def test_energy_rise_at_huge_kappa_fails_the_run(kappa, capsys):
+    # Far above the Lipschitz bound ei2's corrector raises the modified energy
+    # by roundoff times kappa; the run must fail, not exit 0.
+    args = ["run", "--grid-m", "8", "--potential", "flory-huggins", "--init",
+            "random", "--t-end", "0.01", "--tau", "0.01", "--kappa", kappa]
+    assert main(args) == EXIT_NUMERIC
+    assert ("numeric failure: step 1 from t=0.0 with tau=0.01: modified energy "
+            "increased" in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("taus", ["0.25", "0.25,0.25"])
 def test_converge_needs_two_distinct_taus(taus, capsys):
     # One distinct step size leaves no slope to fit.

@@ -15,6 +15,7 @@ import tracemalloc
 
 import pytest
 
+from acflow import verify
 from acflow.grid import Grid
 from acflow.harness import RunConfig, init_random, run
 from acflow.potentials import DoubleWell, ExpSigma, FloryHuggins
@@ -100,7 +101,7 @@ def test_run_costs(monkeypatch, problem, scheme):
     forward = _counter(monkeypatch, Grid, "fast_forward")
     inverse = _counter(monkeypatch, Grid, "fast_inverse")
     bulk = _counter(monkeypatch, type(cfg.potential), "F")
-    stencil = _counter(monkeypatch, Grid, "gradient")
+    stencil = _counter(monkeypatch, verify, "gradient")
     _, rows = run(u0, RunConfig(grid=grid, scheme=cfg,
                                 stepping=UniformStepping(0.05),
                                 t_end=STEPS * 0.05))

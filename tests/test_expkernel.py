@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from acflow.expkernel import StabilizedOperator, phi1
-from acflow.grid import Grid, dense_laplacian
+from acflow.grid import Grid
 from acflow.verify import (
     BOUNDARIES,
     dense_expm,
+    dense_laplacian,
     exp_kernel_oracle,
     phi1_inequalities,
     semigroup_contraction,

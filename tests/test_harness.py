@@ -425,6 +425,81 @@ class TestOutputFiles:
         assert not (out / "failure.json").exists()
         assert (out / "notes.txt").read_text() == "kept"
 
+    def test_rerun_leaves_only_its_own_snapshots(self, tmp_path):
+        # A shorter rerun into the same directory removes every u_<k>.npy of
+        # the first run, and no other file.
+        grid, out = Grid(16), tmp_path / "traj"
+        for t_end, every in ((1.0, 1), (0.5, 5)):
+            run(init_sine(grid, 0.1),
+                RunConfig(grid=grid, scheme=dw_config("ei2"),
+                          stepping=UniformStepping(0.1), t_end=t_end,
+                          out_dir=str(out), snapshot_every=every))
+            (out / "u_final.npy").write_text("kept")
+        assert sorted(os.listdir(out)) == ["diagnostics.csv", "u_0.npy", "u_5.npy",
+                                           "u_final.npy"]
+
+
+class TestEnergyGuard:
+    """A run without check_invariants still holds every step to modified-energy
+    decay and s <= E(u0), with a slack of ENERGY_TOL * max(1, |E(u0)|)."""
+
+    @staticmethod
+    def _run(monkeypatch, plant, u0=1.0, length=1.0, checked=False):
+        original = harness.step
+
+        def planted(*args):
+            state = original(*args)
+            plant(state)
+            return state
+
+        monkeypatch.setattr(harness, "step", planted)
+        cfg = RunConfig(grid=Grid(16, length), scheme=dw_config("ei2"),
+                        stepping=UniformStepping(0.1), t_end=0.6,
+                        check_invariants=checked)
+        return run(np.full((16, 16), u0), cfg)
+
+    def test_energy_rise_fails_an_unchecked_run(self, monkeypatch):
+        def jump(state):
+            if state.step == 2:
+                state.s = 1e-9
+
+        with pytest.raises(InvariantViolation, match=r"^step 2 from t=0\.1 with "
+                           r"tau=0\.1: modified energy increased: 0\.0 -> 1e-09$"):
+            self._run(monkeypatch, jump)
+
+    def test_auxiliary_bound_fails_an_unchecked_run(self, monkeypatch):
+        def creep(state):
+            state.s = 4e-11 * state.step
+
+        with pytest.raises(InvariantViolation, match=r"^step 3 from .*: auxiliary "
+                           r"variable s=1\.2.* exceeds E\(u0\)=0\.0$"):
+            self._run(monkeypatch, creep)
+
+    def test_unchecked_run_does_not_check_mbp(self, monkeypatch):
+        def shift(state):
+            if state.step == 3:
+                state.u = state.u + 2.0
+
+        _, rows = self._run(monkeypatch, shift)
+        assert rows[3].sup_norm == 3.0 and rows[-1].step == 6
+
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_only_unchecked_slack_scales_with_initial_energy(self, monkeypatch,
+                                                             checked):
+        # u0 = 0 on side 100 is a fixed point with E(u0) = 0.25 * 100^2 = 2500:
+        # a rise of 1e-8 is within an unchecked run's slack of 2.5e-7, and
+        # beyond a checked run's 1e-10.
+        def bump(state):
+            if state.step == 2:
+                state.s += 1e-8
+
+        if checked:
+            with pytest.raises(InvariantViolation, match="modified energy increased"):
+                self._run(monkeypatch, bump, 0.0, 100.0, checked)
+        else:
+            _, rows = self._run(monkeypatch, bump, 0.0, 100.0, checked)
+            assert rows[0].energy == 2500.0 and rows[-1].s == 2500.0 + 1e-8
+
 
 class TestConverge:
     def test_errors_decrease_and_slope(self):

@@ -19,7 +19,7 @@ from acflow.potentials import (
     modified_energy,
     total_energy,
 )
-from acflow.verify import stabilization_bound
+from acflow.verify import gradient, stabilization_bound
 
 
 class TestDoubleWell:
@@ -291,7 +291,7 @@ class TestEnergies:
     def test_total_energy_matches_raw_sums(self):
         eps = 0.05
         v = np.random.default_rng(4).uniform(-0.9, 0.9, (12, 12))
-        gx, gy = self.grid.gradient(v)
+        gx, gy = gradient(self.grid, v)
         raw = (0.5 * eps**2 * self.grid.h**2 * float(np.sum(gx * gx + gy * gy))
                + self.grid.h**2 * float(np.sum(self.pot.F(v))))
         assert total_energy(self.grid, self.pot, v, eps) == pytest.approx(raw, rel=1e-13)

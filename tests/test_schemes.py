@@ -7,7 +7,7 @@ import pytest
 import acflow
 from acflow.errors import NumericFailure, NumericRangeError
 from acflow.expkernel import StabilizedOperator
-from acflow.grid import Grid, dense_laplacian
+from acflow.grid import Grid
 from acflow.harness import _make_row, init_random, init_sine
 from acflow.potentials import (
     ConstantSigma,
@@ -26,7 +26,7 @@ from acflow.schemes import (
     reference_solution,
     step,
 )
-from acflow.verify import dense_expm, dense_phi1m
+from acflow.verify import dense_expm, dense_laplacian, dense_phi1m
 
 
 def test_every_public_name_resolves():
