@@ -16,7 +16,6 @@ from .potentials import (
     bulk_energy,
     make_potential,
     make_sigma,
-    modified_energy,
     total_energy,
 )
 from .schemes import SchemeConfig, SolverState, initial_state, reference_solution, step
@@ -47,7 +46,6 @@ __all__ = [
     "initial_state",
     "make_potential",
     "make_sigma",
-    "modified_energy",
     "phi1",
     "reference_solution",
     "run",

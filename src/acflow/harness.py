@@ -73,8 +73,8 @@ DIAGNOSTICS_HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
 
 def _make_row(grid: Grid, cfg: SchemeConfig, state: SolverState,
               tau: float) -> DiagnosticsRow:
-    # Bitwise the sums total_energy and modified_energy form on (u, u_hat),
-    # from the spectrum and the bulk energy the state carries.
+    # interface_energy over the carried spectrum plus the state's bulk energy
+    # e1 (the energy) or s (the modified energy): no transform and no F.
     interface = interface_energy(grid, state.u, cfg.eps, state.u_hat)
     return DiagnosticsRow(
         step=state.step,

@@ -56,9 +56,9 @@ class DoubleWell:
 class FloryHuggins:
     """Logarithmic Flory-Huggins free energy with critical mixing parameters.
 
-    Requires theta_c > theta > 0, and theta_c/theta below ~14.16, so that
-    the reaction's positive root beta lies in [1e-12, 1 - 1e-12], keeping the
-    log singularities at +-1 outside the invariant interval.
+    Requires theta_c > theta > 0, and theta_c/theta from 1 + 1e-7 to ~14.16,
+    so that the reaction's positive root beta lies in [1e-12, 1 - 1e-12],
+    keeping the log singularities at +-1 outside the invariant interval.
     """
 
     name = "flory-huggins"
@@ -74,8 +74,15 @@ class FloryHuggins:
 
     def _compute_beta(self) -> float:
         lo, hi = 1e-12, 1.0 - 1e-12
-        if self.f(lo) <= 0:  # theta_c lo and theta lo round to one float
-            raise ValueError("f(1e-12) <= 0: theta_c/theta is 1 to rounding")
+        # Below a gap of 1e-7, beta ~ sqrt(3 gap) comes out of f's rounding and
+        # can lie more than MBP_TOL = 1e-12 below the root; theta_c - theta is
+        # exact where it matters, for theta_c <= 2 theta.
+        gap = (self.theta_c - self.theta) / self.theta
+        if gap < 1e-7:
+            raise ValueError(f"(theta_c - theta)/theta = {gap!r} < 1e-07: "
+                             "beta would be rounding noise")
+        if self.f(lo) <= 0:  # theta lo underflows
+            raise ValueError(f"f(1e-12) <= 0: theta={self.theta!r} is too small")
         if self.f(hi) >= 0:
             raise ValueError(f"theta_c/theta = {self.theta_c / self.theta!r} >= "
                              f"artanh(hi)/hi = {math.atanh(hi) / hi!r} "
@@ -234,7 +241,3 @@ def interface_energy(grid: Grid, v: np.ndarray, eps: float,
 
 def total_energy(grid: Grid, potential, v: np.ndarray, eps: float) -> float:
     return interface_energy(grid, v, eps) + bulk_energy(grid, potential, v)
-
-
-def modified_energy(grid: Grid, v: np.ndarray, r: float, eps: float) -> float:
-    return interface_energy(grid, v, eps) + r

@@ -28,7 +28,8 @@ def steps_to(t_end: float, tau: float, label: str) -> int:
 @dataclass
 class UniformStepping:
     """ceil((t_end - slack) / tau) steps of tau, the last clipped to t_end.
-    The steps are counted, so rounding in t adds no sliver of a step."""
+    The steps are counted, so rounding in t adds no sliver of a step.  A
+    count at or below 0 takes no step; one that overflows is a ValueError."""
 
     tau: float
 
@@ -36,7 +37,10 @@ class UniformStepping:
         positive("tau", self.tau)
 
     def next_step(self, t: float, t_end: float, rows) -> float | None:
-        if len(rows) - 1 >= math.ceil((t_end - _slack(t_end)) / self.tau):
+        n = (t_end - _slack(t_end)) / self.tau
+        if n == math.inf:
+            raise ValueError(f"t_end={t_end} is too many steps of tau={self.tau} to count")
+        if n <= 0 or len(rows) - 1 >= math.ceil(n):
             return None
         return min(self.tau, t_end - t)
 

@@ -108,10 +108,29 @@ def test_parameter_must_be_finite_and_positive(args, name, capsys):
 def test_extreme_setup_values_exit_cleanly(flag, value):
     # Every set-up value, however extreme, ends in an exit code: a result, a
     # usage error or a numeric failure, never an exception out of main.
-    # Step sizes are left out: a tiny tau really takes t_end/tau steps.
+    # Step sizes have their own net, test_extreme_step_sizes_exit_cleanly.
     args = ["run", "--grid-m", "8", "--potential", "flory-huggins", "--init",
             "random", "--t-end", "0.01", "--tau", "0.01", flag, value]
     assert main(args) in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC)
+
+
+@pytest.mark.parametrize("flags, code", [
+    ("--t-end 1e300 --tau 1e-10", EXIT_USAGE),  # +inf steps
+    ("--tau 1e-320 --t-end 1", EXIT_USAGE),  # +inf steps
+    ("--tau 5e-324 --t-end 1e-300", EXIT_OK),  # -inf steps: t_end is within slack
+    ("--tau 1e300 --t-end 1", EXIT_OK),
+    ("--adaptive --tau-min 1e-10 --tau-max 1e300 --t-end 1e300", EXIT_OK),
+])
+def test_extreme_step_sizes_exit_cleanly(flags, code, capsys):
+    # A step count that overflows is a usage error, not an exception out of
+    # main.  Step sizes that really take t_end/tau steps are left out: with
+    # --adaptive --tau-min 1e-320 --tau-max 1e-300 --t-end 1 a run would
+    # take ~1e300 steps, so it never ends.
+    assert main(["run", "--grid-m", "8", *flags.split()]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_USAGE:
+        assert err.startswith("usage error: t_end=") and "tau=" in err
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kappa", ["1e23", "1e160"])

@@ -17,6 +17,20 @@ def random_field(grid, seed=0):
     return np.random.default_rng(seed).standard_normal((grid.m, grid.m))
 
 
+@pytest.mark.parametrize("boundary, offsets", [("periodic", [1.0, 2.0, 3.0, 4.0]),
+                                               ("neumann", [0.5, 1.5, 2.5, 3.5])],
+                         ids=["periodic", "neumann"])
+def test_meshgrid_nodes(boundary, offsets):
+    # Periodic nodes sit at (i+1)h, so the last is at L; Neumann nodes at
+    # the cell centres (i+1/2)h.  The first axis is x.
+    grid = Grid(4, 1.3, boundary)
+    x, y = grid.meshgrid()
+    nodes = np.array(offsets) * (1.3 / 4)
+    assert np.array_equal(x, np.broadcast_to(nodes[:, None], (4, 4)))
+    assert np.array_equal(y, np.broadcast_to(nodes[None, :], (4, 4)))
+    assert (x[-1, 0] == 1.3) == (boundary == "periodic")
+
+
 class TestStencils:
     def test_laplacian_annihilates_constants(self, boundary):
         grid = Grid(8, 1.0, boundary)

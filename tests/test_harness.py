@@ -24,9 +24,8 @@ from acflow.potentials import (
     TanhSigma,
     bulk_energy,
     interface_energy,
-    modified_energy,
 )
-from acflow.schemes import SchemeConfig, initial_state, reference_solution
+from acflow.schemes import SchemeConfig, initial_state, reference_solution, step
 from acflow.timestep import AdaptiveStepping, UniformStepping
 
 
@@ -110,7 +109,7 @@ class TestRun:
         state, rows = run(init_random(grid, -0.5, 0.5, 6), cfg)
         last = rows[-1]
         assert last.modified_energy == pytest.approx(
-            modified_energy(grid, state.u, state.s, scfg.eps), abs=1e-12)
+            interface_energy(grid, state.u, scfg.eps) + state.s, abs=1e-12)
 
     @pytest.mark.parametrize("scheme", ["ei1", "ei2", "stab1"])
     @pytest.mark.parametrize("boundary,potential", [("periodic", DoubleWell),
@@ -509,6 +508,23 @@ class TestConverge:
         errs = [e["l2_error"] for e in report["entries"]]
         assert errs == sorted(errs, reverse=True)
         assert 0.7 <= report["slope"] <= 1.3
+
+    def test_errors_are_the_norms_of_each_sweep(self):
+        # Each entry's errors are norm2 and norm_inf of (sweep - reference),
+        # bit for bit, with the sweep rebuilt from initial_state and step.
+        grid, scfg = Grid(16, 1.0, "neumann"), dw_config("ei2")
+        u0, taus = init_random(grid, -0.8, 0.8, 9), [1 / 4, 1 / 8]
+        report = converge(grid, scfg, u0, 1.0, taus=taus, tau_ref=1 / 256)
+        ref = reference_solution(grid, scfg, u0, 1.0, 1 / 256)
+        assert [e["tau"] for e in report["entries"]] == taus
+        for entry in report["entries"]:
+            state = initial_state(grid, scfg, u0)
+            for _ in range(round(1.0 / entry["tau"])):
+                state = step(grid, scfg, state, entry["tau"])
+            diff = state.u - ref.u
+            assert entry["l2_error"] == grid.norm2(diff)
+            assert entry["linf_error"] == grid.norm_inf(diff)
+            assert entry["l2_error"] != entry["linf_error"]
 
     def test_exact_fixed_point_has_no_slope(self):
         # From u0 = 0 every error is exactly 0; no log-log line can be fitted.

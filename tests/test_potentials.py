@@ -16,7 +16,6 @@ from acflow.potentials import (
     bulk_energy,
     make_potential,
     make_sigma,
-    modified_energy,
     total_energy,
 )
 from acflow.verify import gradient, stabilization_bound
@@ -78,18 +77,24 @@ class TestFloryHuggins:
         assert pot.lipschitz == pytest.approx(abs(1.01 - 1.0 / (1.0 - pot.beta**2)),
                                               rel=1e-15)
 
-    @pytest.mark.parametrize("theta_c", [1.00001, 1.0 + 1e-9])
+    @pytest.mark.parametrize("theta_c", [1.00001, 1.0 + 1e-7])
     def test_barely_supercritical_parameters_accepted(self, theta_c):
         # beta^2/3 + beta^4/5 + ... = theta_c/theta - 1, so beta ~ sqrt(3 d).
         pot = FloryHuggins(1.0, theta_c)
         assert pot.f(pot.beta) <= 0.0 <= pot.f(-pot.beta)
         assert pot.beta == pytest.approx(math.sqrt(3.0 * (theta_c - 1.0)), rel=1e-4)
 
-    def test_adjacent_parameters_accepted(self):
-        theta = 0.3
-        pot = FloryHuggins(theta, float(np.nextafter(theta, 1.0)))
-        assert 0.0 < pot.beta < 1.0
-        assert pot.f(pot.beta) <= 0.0 <= pot.f(-pot.beta)
+    @pytest.mark.parametrize("theta, theta_c", [
+        (0.3, float(np.nextafter(0.3, 1.0))),  # beta was 27 % above the root
+        (0.8, float(np.nextafter(0.8, 1.0))),  # beta was 1.5e-12, the root 2.04e-8
+        (1.0, 1.0 + 1e-9),  # beta was 1.27e-12 below the root
+    ])
+    def test_near_critical_parameters_rejected(self, theta, theta_c):
+        # Below a relative gap of 1e-7, beta comes out of f's rounding and can
+        # lie more than MBP_TOL below the true root.
+        with pytest.raises(ValueError, match=r"\(theta_c - theta\)/theta = .* < 1e-07: "
+                                             "beta would be rounding noise"):
+            FloryHuggins(theta, theta_c)
 
     def test_reaction_accurate_near_zero(self):
         # f(u) = (theta_c - theta) u - theta u^3/3 - ..., here to u^3.
@@ -105,8 +110,11 @@ class TestFloryHuggins:
         with pytest.raises(ValueError, match=r"theta_c/theta = 15\.0 >= .*"
                            r"the root of f lies within 1e-12 of 1$"):
             FloryHuggins(theta=0.8, theta_c=12.0)
-        with pytest.raises(ValueError, match="theta_c/theta is 1 to rounding"):
+        with pytest.raises(ValueError, match="beta would be rounding noise"):
             FloryHuggins(7.299257909835141, 7.299257909835142)
+        # A ratio of 2 whose f underflows at the bracket's lower end, 1e-12.
+        with pytest.raises(ValueError, match=r"f\(1e-12\) <= 0: theta=1e-320 is too small"):
+            FloryHuggins(1e-320, 2e-320)
 
     def test_domain_error_at_unit(self):
         with pytest.raises(NumericRangeError):
@@ -295,20 +303,6 @@ class TestEnergies:
         raw = (0.5 * eps**2 * self.grid.h**2 * float(np.sum(gx * gx + gy * gy))
                + self.grid.h**2 * float(np.sum(self.pot.F(v))))
         assert total_energy(self.grid, self.pot, v, eps) == pytest.approx(raw, rel=1e-13)
-
-    def test_modified_energy_identity(self):
-        v = np.random.default_rng(5).uniform(-0.9, 0.9, (12, 12))
-        r = bulk_energy(self.grid, self.pot, v)
-        assert modified_energy(self.grid, v, r, 0.01) == \
-            pytest.approx(total_energy(self.grid, self.pot, v, 0.01), rel=1e-14)
-
-    def test_modified_energy_linear_in_r(self):
-        v = np.random.default_rng(6).uniform(-0.9, 0.9, (12, 12))
-        base = modified_energy(self.grid, v, 0.0, 0.01)
-        assert modified_energy(self.grid, v, 0.5, 0.01) - base == pytest.approx(0.5)
-
-    def test_modified_energy_constant_field(self):
-        assert modified_energy(self.grid, np.full((12, 12), 0.3), 0.0, 0.01) == 0.0
 
 
 def test_make_potential_dispatch():

@@ -17,8 +17,8 @@ from acflow.harness import init_random
 from acflow.potentials import (
     DoubleWell,
     FloryHuggins,
+    interface_energy,
     make_sigma,
-    modified_energy,
     total_energy,
 )
 from acflow.schemes import SCHEMES, SchemeConfig, initial_state, step
@@ -58,10 +58,10 @@ def test_mbp_energy_decay_and_aux_bound(problem):
     grid, cfg, u0, tau, n_steps = problem
     e0 = total_energy(grid, cfg.potential, u0, cfg.eps)
     state = initial_state(grid, cfg, u0)
-    prev = modified_energy(grid, state.u, state.s, cfg.eps)
+    prev = interface_energy(grid, state.u, cfg.eps) + state.s
     for _ in range(n_steps):
         state = step(grid, cfg, state, tau)
-        curr = modified_energy(grid, state.u, state.s, cfg.eps)
+        curr = interface_energy(grid, state.u, cfg.eps) + state.s
         assert grid.norm_inf(state.u) <= cfg.potential.beta + MBP_TOL
         assert curr <= prev + ENERGY_TOL
         assert state.s <= e0 + ENERGY_TOL
