@@ -154,7 +154,8 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
     naming the step, its start time and size) leaves failure.json and the
     last good field in the output directory, and is re-raised.  Snapshots
     without an output directory and initial data outside [-beta, beta] are a
-    ``ValueError``.
+    ``ValueError``; so is a first step the policy refuses, raised before the
+    output directory is touched.
     """
     grid, scfg, stepping, out_dir = cfg.grid, cfg.scheme, cfg.stepping, cfg.out_dir
     every = cfg.snapshot_every
@@ -162,6 +163,9 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
         raise ValueError(f"snapshot_every={every} needs an out_dir to write to")
     state = initial_state(grid, scfg, u0)
     rows = [_make_row(grid, scfg, state, 0.0)]
+    # The first step is asked for before out_dir is touched, so a policy that
+    # refuses the run leaves that directory as it was.
+    tau = stepping.next_step(state.t, cfg.t_end, rows)
 
     csv = None
     if out_dir is not None:
@@ -176,7 +180,7 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
     try:
         if every:
             _write_snapshot(out_dir, state)
-        while (tau := stepping.next_step(state.t, cfg.t_end, rows)) is not None:
+        while tau is not None:
             try:
                 new = step(grid, scfg, state, tau)
                 row = _make_row(grid, scfg, new, tau)
@@ -192,6 +196,7 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
             state = new
             if every and state.step % every == 0:
                 _write_snapshot(out_dir, state)
+            tau = stepping.next_step(state.t, cfg.t_end, rows)
     finally:
         if csv is not None:
             csv.close()

@@ -12,7 +12,6 @@ import math
 import sys
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericRangeError, positive
 from .grid import Grid, row_strips
@@ -59,6 +58,8 @@ class FloryHuggins:
     Requires theta_c > theta > 0, and theta_c/theta from 1 + 1e-7 to ~14.16,
     so that the reaction's positive root beta lies in [1e-12, 1 - 1e-12],
     keeping the log singularities at +-1 outside the invariant interval.
+    beta comes from ``_brentq``, a Brent solve that returns what
+    scipy.optimize.brentq does, bit for bit, without loading scipy.optimize.
     """
 
     name = "flory-huggins"
@@ -87,10 +88,10 @@ class FloryHuggins:
             raise ValueError(f"theta_c/theta = {self.theta_c / self.theta!r} >= "
                              f"artanh(hi)/hi = {math.atanh(hi) / hi!r} "
                              "at hi = 1 - 1e-12: the root of f lies within 1e-12 of 1")
-        beta = float(brentq(self.f, lo, hi, xtol=1e-12))
-        # brentq stops within xtol of the root on either side; the invariant
-        # interval needs f(beta) <= 0 (and f(-beta) >= 0, f being odd), and
-        # f(hi) < 0 was checked above.
+        beta = _brentq(self.f, lo, hi, xtol=1e-12)
+        # The Brent solve stops within xtol of the root on either side; the
+        # invariant interval needs f(beta) <= 0 (and f(-beta) >= 0, f being
+        # odd), and f(hi) < 0 was checked above.
         return min(beta + 2e-12, hi) if self.f(beta) > 0 else beta
 
     def _fprime(self, u: float) -> float:
@@ -140,6 +141,50 @@ class FloryHuggins:
             other *= 0.5 * self.theta_c
             es -= other
         return _value(ent)
+
+
+def _brentq(f, a: float, b: float, xtol: float) -> float:
+    """A root of f between a and b, f(a) and f(b) nonzero and of opposite
+    signs, by Brent's method (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4).  It takes scipy.optimize.brentq's steps one for
+    one, with that function's rtol = 4 eps and 100 iterations, in the same
+    float arithmetic, so it returns the same root bit for bit.  Where scipy's
+    C code divides by zero, its trial step is +-inf or NaN and fails the
+    short-step test, so this bisects there too."""
+    rtol, maxiter = 4 * sys.float_info.epsilon, 100
+    xpre, xcur = a, b
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan  # bisect unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"no root within {maxiter} iterations, last x = {xcur!r}")
 
 
 def _max_min(u):

@@ -76,6 +76,38 @@ def test_unusable_output_directory_is_usage_error(tmp_path, capsys):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+def test_refused_run_leaves_the_output_directory_as_it_was(tmp_path, capsys):
+    # The step policy refuses the run at its first step, before run() clears
+    # an earlier run's files or starts diagnostics.csv.
+    out = tmp_path / "traj"
+    out.mkdir()
+    for name in ("failure.json", "u_3.npy"):
+        (out / name).write_text("earlier run")
+    rc = main(["run", "--grid-m", "8", "--t-end", "1e300", "--tau", "1e-10",
+               "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "too many steps of tau=1e-10 to count" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["failure.json", "u_3.npy"]
+    assert (out / "u_3.npy").read_text() == "earlier run"
+
+
+def test_import_loads_no_scipy_optimize(tmp_path):
+    # A fresh interpreter: importing the package and running a Flory-Huggins
+    # step loads scipy.fft, but none of scipy's optimize, sparse or linalg.
+    script = (
+        "import sys\n"
+        "import acflow, acflow.cli, acflow.verify\n"
+        "rc = acflow.cli.main(['run', '--grid-m', '8', '--potential', 'flory-huggins',\n"
+        "                      '--t-end', '0.01', '--tau', '0.01'])\n"
+        "print(rc, [m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.linalg')\n"
+        "           if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+
+
 SMALL = {"run": ["run", "--grid-m", "16", "--t-end", "0.1"],
          "converge": ["converge", "--grid-m", "16", "--t-end", "1",
                       "--taus", "0.5,0.25", "--tau-ref", "0.0078125"]}

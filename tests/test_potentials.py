@@ -13,6 +13,7 @@ from acflow.potentials import (
     ExpSigma,
     FloryHuggins,
     TanhSigma,
+    _brentq,
     bulk_energy,
     make_potential,
     make_sigma,
@@ -115,6 +116,26 @@ class TestFloryHuggins:
         # A ratio of 2 whose f underflows at the bracket's lower end, 1e-12.
         with pytest.raises(ValueError, match=r"f\(1e-12\) <= 0: theta=1e-320 is too small"):
             FloryHuggins(1e-320, 2e-320)
+
+    def test_brent_solve_matches_scipy_brentq_bitwise(self):
+        # scipy.optimize is the reference here only; acflow does not load it.
+        from scipy.optimize import brentq
+        # theta uniform in [0.01, 10] with theta_c/theta uniform in
+        # [1 + 1e-7, 14], and theta log-uniform in [1e-300, 10] with
+        # theta_c/theta = 1 + 10^U(-7, 1.1), besides three defaults.
+        rng = np.random.default_rng(23)
+        wide = rng.uniform(0.01, 10.0, 1000)
+        tiny = 10.0 ** rng.uniform(-300.0, 1.0, 1000)
+        pairs = [(0.8, 1.6), (0.5, 1.0), (0.3, 2.5),
+                 *zip(wide, wide * rng.uniform(1.0 + 1e-7, 14.0, 1000)),
+                 *zip(tiny, tiny * (1.0 + 10.0 ** rng.uniform(-7.0, 1.1, 1000)))]
+        lo, hi = 1e-12, 1.0 - 1e-12
+        for theta, theta_c in pairs:
+            pot = FloryHuggins(float(theta), float(theta_c))
+            root = brentq(pot.f, lo, hi, xtol=1e-12)
+            assert _brentq(pot.f, lo, hi, xtol=1e-12) == root
+            # beta is that root, moved up by 2e-12 where f(root) > 0.
+            assert pot.beta == (min(root + 2e-12, hi) if pot.f(root) > 0 else root)
 
     def test_domain_error_at_unit(self):
         with pytest.raises(NumericRangeError):
