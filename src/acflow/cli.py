@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", type=str, default=None)
     p_run.add_argument("--snapshot-every", type=int, default=0)
     p_run.add_argument("--check-invariants", action="store_true",
-                       help="also check MBP after each step, and energy decay "
-                            "and s <= E(u0) to 1e-10, not 1e-10*max(1, |E(u0)|)")
+                       help="check energy decay and s <= E(u0) to 1e-10, not "
+                            "1e-10*max(1, |E(u0)|); MBP is checked in every run")
 
     p_conv = sub.add_parser("converge", help="temporal convergence sweep")
     _add_setup(p_conv)

@@ -17,8 +17,8 @@ from .schemes import (MBP_TOL, SchemeConfig, SolverState, initial_state,
                       reference_solution, step)
 from .timestep import steps_to
 
-# Slack of the energy checks of a run with check_invariants on; a run without
-# them allows ENERGY_TOL * max(1, |E(u0)|), some ulps of E where |E| is large.
+# Energy slack of a run with check_invariants on; a run without it allows
+# ENERGY_TOL * max(1, |E(u0)|), some ulps of E where |E| is large.
 ENERGY_TOL = 1e-10
 
 
@@ -46,7 +46,7 @@ class RunConfig:
     t_end: float
     out_dir: str | None = None
     snapshot_every: int = 0
-    check_invariants: bool = False  # adds MBP; energy slack ENERGY_TOL, unscaled
+    check_invariants: bool = False  # energy slack ENERGY_TOL, unscaled by |E(u0)|
 
     def __post_init__(self):
         positive("t_end", self.t_end)
@@ -103,20 +103,18 @@ def _write_snapshot(out_dir: str, state: SolverState) -> str:
 
 
 class InvariantViolation(NumericFailure):
-    """A run's step broke modified-energy monotonicity or the bound
-    s <= E(u0), or, in a checked run, MBP.  Made like a ``NumericFailure``;
-    ``row``, set on it after, is the violating diagnostics row and survives a
-    pickle round trip."""
+    """A run's step broke MBP, modified-energy monotonicity or the bound
+    s <= E(u0).  Made like a ``NumericFailure``; ``row``, set on it after, is
+    the violating diagnostics row and survives a pickle round trip."""
 
 
 def _check_invariants(prev: SolverState, rows: list[DiagnosticsRow], beta: float,
-                      checked: bool):
-    """Check the row of the step from ``prev`` against rows[-2] and E(u0), and
-    against beta if ``checked``; an ``InvariantViolation`` names the first rule
-    it breaks."""
+                      tol: float):
+    """Check the row of the step from ``prev`` against beta + MBP_TOL, and
+    against rows[-2] and E(u0) with energy slack ``tol``; an
+    ``InvariantViolation`` names the first rule it breaks."""
     row, prev_modified, e0 = rows[-1], rows[-2].modified_energy, rows[0].energy
-    tol = ENERGY_TOL if checked else ENERGY_TOL * max(1.0, abs(e0))
-    if checked and row.sup_norm > beta + MBP_TOL:
+    if row.sup_norm > beta + MBP_TOL:
         message = f"MBP violated: sup norm {row.sup_norm} > beta {beta}"
     elif row.modified_energy > prev_modified + tol:
         message = f"modified energy increased: {prev_modified} -> {row.modified_energy}"
@@ -145,17 +143,17 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
     """Step the configured scheme from t = 0 to t_end.
 
     Returns the final state and one diagnostics row per step (plus the t = 0
-    row).  When an output directory is set, removes an earlier run's
-    failure.json and snapshots u_<k>.npy from it, then streams
-    diagnostics.csv and writes the requested snapshots as it goes.  Every
-    step must keep modified-energy decay and s <= E(u0), to ENERGY_TOL *
-    max(1, |E(u0)|), or with ``check_invariants`` to ENERGY_TOL and MBP too.
-    A failing step (a ``NumericFailure``, ``InvariantViolation`` included,
-    naming the step, its start time and size) leaves failure.json and the
-    last good field in the output directory, and is re-raised.  Snapshots
-    without an output directory and initial data outside [-beta, beta] are a
-    ``ValueError``; so is a first step the policy refuses, raised before the
-    output directory is touched.
+    row).  When an output directory is set, opens diagnostics.csv in it,
+    removes an earlier run's failure.json and snapshots u_<k>.npy, then
+    streams the rows and writes the requested snapshots as it goes.  Every
+    step must keep MBP (sup norm <= beta + MBP_TOL), modified-energy decay and
+    s <= E(u0), the last two to ENERGY_TOL * max(1, |E(u0)|), or with
+    ``check_invariants`` to ENERGY_TOL.  A failing step (a ``NumericFailure``,
+    ``InvariantViolation`` included, naming the step, its start time and
+    size) leaves failure.json and the last good field in the output
+    directory, and is re-raised.  Snapshots without an output directory,
+    initial data outside [-beta, beta] and a run the policy refuses are a
+    ``ValueError``, raised before an earlier run's files are removed.
     """
     grid, scfg, stepping, out_dir = cfg.grid, cfg.scheme, cfg.stepping, cfg.out_dir
     every = cfg.snapshot_every
@@ -163,21 +161,23 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
         raise ValueError(f"snapshot_every={every} needs an out_dir to write to")
     state = initial_state(grid, scfg, u0)
     rows = [_make_row(grid, scfg, state, 0.0)]
-    # The first step is asked for before out_dir is touched, so a policy that
-    # refuses the run leaves that directory as it was.
+    tol = ENERGY_TOL * (1.0 if cfg.check_invariants else max(1.0, abs(rows[0].energy)))
+    # The policy's first step is asked for and diagnostics.csv opened before an
+    # earlier run's files are removed, so a run refused by either leaves them.
     tau = stepping.next_step(state.t, cfg.t_end, rows)
 
     csv = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        for name in os.listdir(out_dir):
-            if name == "failure.json" or re.fullmatch(r"u_[0-9]+\.npy", name):
-                os.remove(os.path.join(out_dir, name))
         # Line-buffered, so each row is in the file once it is made.
         csv = open(os.path.join(out_dir, "diagnostics.csv"), "w", buffering=1)
-        csv.write(DIAGNOSTICS_HEADER + "\n")
-        write_diagnostics(csv, rows[0])
     try:
+        if csv is not None:
+            for name in os.listdir(out_dir):
+                if name == "failure.json" or re.fullmatch(r"u_[0-9]+\.npy", name):
+                    os.remove(os.path.join(out_dir, name))
+            csv.write(DIAGNOSTICS_HEADER + "\n")
+            write_diagnostics(csv, rows[0])
         if every:
             _write_snapshot(out_dir, state)
         while tau is not None:
@@ -187,8 +187,7 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
                 rows.append(row)
                 if csv is not None:
                     write_diagnostics(csv, row)
-                _check_invariants(state, rows, scfg.potential.beta,
-                                  cfg.check_invariants)
+                _check_invariants(state, rows, scfg.potential.beta, tol)
             except NumericFailure as exc:
                 if out_dir is not None:
                     _write_failure(out_dir, exc, state, rows[state.step])

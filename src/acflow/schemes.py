@@ -27,7 +27,7 @@ EI1 = "ei1"
 EI2 = "ei2"
 STAB1 = "stab1"
 SCHEMES = (EI1, EI2, STAB1)
-MBP_TOL = 1e-12  # slack of |u| <= beta: initial data, and checked runs
+MBP_TOL = 1e-12  # slack of |u| <= beta: initial data, and every run's steps
 
 
 @dataclass

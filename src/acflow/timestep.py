@@ -1,6 +1,7 @@
 """Time-step policies, uniform and energy-rate adaptive.  A policy alone
 decides how a run reaches t_end: ``next_step(t, t_end, rows)`` is the step
-from t given the run's rows so far (t = 0 first), or None when it is done."""
+from t given the run's rows so far (t = 0 first), or None when it is done.
+Only a first call may refuse a run, if its largest step cannot move t at t_end."""
 
 from __future__ import annotations
 
@@ -27,9 +28,9 @@ def steps_to(t_end: float, tau: float, label: str) -> int:
 
 @dataclass
 class UniformStepping:
-    """ceil((t_end - slack) / tau) steps of tau, the last clipped to t_end.
-    The steps are counted, so rounding in t adds no sliver of a step.  A
-    count at or below 0 takes no step; one that overflows is a ValueError."""
+    """ceil((t_end - slack) / tau) steps of tau, the last clipped to t_end, so
+    rounding in t adds no sliver of a step.  A count at or below 0 takes no
+    step; a positive one is a ValueError if t_end + tau == t_end."""
 
     tau: float
 
@@ -38,7 +39,7 @@ class UniformStepping:
 
     def next_step(self, t: float, t_end: float, rows) -> float | None:
         n = (t_end - _slack(t_end)) / self.tau
-        if n == math.inf:
+        if n > 0 and t_end + self.tau == t_end:
             raise ValueError(f"t_end={t_end} is too many steps of tau={self.tau} to count")
         if n <= 0 or len(rows) - 1 >= math.ceil(n):
             return None
@@ -52,8 +53,7 @@ class AdaptiveStepping:
         tau = max(tau_min, tau_max / sqrt(1 + alpha * |dE/dt|^2))
 
     with dE/dt the backward difference quotient of the original energy.
-    The first step, having no energy history, uses tau_min.
-    """
+    The first step, having no energy history, uses tau_min."""
 
     tau_min: float
     tau_max: float
@@ -72,18 +72,17 @@ class AdaptiveStepping:
 
     def next_step(self, t: float, t_end: float, rows) -> float | None:
         """next_tau of the last two rows, clipped to t_end; a tail under tau_min
-        is merged into the step if that fits under tau_max, else split in two,
-        else a ValueError.  None once t is within slack of t_end."""
+        joins the step within tau_max, else the remainder is halved (halves are
+        >= tau_min / 2).  None near t_end; refused if t_end + tau_max == t_end."""
         slack = _slack(t_end)
         if t >= t_end - slack:
             return None
+        if t_end + self.tau_max == t_end:
+            raise ValueError(f"t_end={t_end} is too many steps of "
+                             f"tau_max={self.tau_max} to count")
         tau = self.tau_min if len(rows) == 1 else self.next_tau(
             rows[-2].energy, rows[-1].energy, rows[-1].tau)
         remainder = t_end - t
         if remainder - tau >= self.tau_min or abs(remainder - tau) <= slack:
             return min(tau, remainder)
-        for pieces in (1, 2):
-            if self.tau_min <= remainder / pieces <= self.tau_max:
-                return remainder / pieces
-        raise ValueError(f"cannot reach t_end={t_end} from t={t} with steps in "
-                         f"[tau_min={self.tau_min}, tau_max={self.tau_max}]")
+        return remainder if remainder <= self.tau_max else remainder / 2

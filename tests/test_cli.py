@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -76,19 +77,47 @@ def test_unusable_output_directory_is_usage_error(tmp_path, capsys):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
-def test_refused_run_leaves_the_output_directory_as_it_was(tmp_path, capsys):
-    # The step policy refuses the run at its first step, before run() clears
-    # an earlier run's files or starts diagnostics.csv.
+@pytest.mark.parametrize("flags, message", [
+    ("--t-end 1e300 --tau 1e-10", "too many steps of tau=1e-10 to count"),
+    ("--tau 1e-290 --t-end 1", "too many steps of tau=1e-290 to count"),
+    ("--adaptive --tau-min 1e-320 --tau-max 1e-300 --t-end 1",
+     "too many steps of tau_max=1e-300 to count"),
+    ("--t-end 0.02", "Is a directory"),
+], ids=["count-overflow", "uniform-stall", "adaptive-stall", "csv-unwritable"])
+def test_refused_run_leaves_the_output_directory_as_it_was(flags, message, tmp_path,
+                                                           capsys):
+    # The step policy refuses the run at its first step, or diagnostics.csv
+    # is a directory, before run() clears an earlier run's files.
     out = tmp_path / "traj"
     out.mkdir()
-    for name in ("failure.json", "u_3.npy"):
+    earlier = ["failure.json", "u_3.npy"]
+    for name in earlier:
         (out / name).write_text("earlier run")
-    rc = main(["run", "--grid-m", "8", "--t-end", "1e300", "--tau", "1e-10",
-               "--out", str(out)])
+    if message == "Is a directory":
+        (out / "diagnostics.csv").mkdir()
+        earlier.append("diagnostics.csv")
+    rc = main(["run", "--grid-m", "8", *flags.split(), "--out", str(out)])
     assert rc == EXIT_USAGE
-    assert "too many steps of tau=1e-10 to count" in capsys.readouterr().err
-    assert sorted(os.listdir(out)) == ["failure.json", "u_3.npy"]
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == sorted(earlier)
     assert (out / "u_3.npy").read_text() == "earlier run"
+
+
+def test_adaptive_tail_lands_on_t_end(tmp_path):
+    # After 0.1 and four steps of 0.15, 0.17 is left: too long for one step
+    # under tau_max, so it is halved into two steps of 0.085 >= tau_min / 2.
+    out = tmp_path / "traj"
+    rc = main(["run", "--grid-m", "8", "--adaptive", "--tau-min", "0.1",
+               "--tau-max", "0.15", "--alpha", "1e-12", "--t-end", "0.87",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = [line.split(",") for line in
+            (out / "diagnostics.csv").read_text().splitlines()[2:]]
+    taus = [float(r[2]) for r in rows]
+    assert float(rows[-1][1]) == pytest.approx(0.87, abs=1e-12)
+    assert all(0.05 <= tau <= 0.15 for tau in taus)
+    assert taus[-2:] == pytest.approx([0.085, 0.085], rel=1e-12)
+    assert sorted(os.listdir(out)) == ["diagnostics.csv"]
 
 
 def test_import_loads_no_scipy_optimize(tmp_path):
@@ -152,17 +181,18 @@ def test_extreme_setup_values_exit_cleanly(flag, value):
     ("--tau 5e-324 --t-end 1e-300", EXIT_OK),  # -inf steps: t_end is within slack
     ("--tau 1e300 --t-end 1", EXIT_OK),
     ("--adaptive --tau-min 1e-10 --tau-max 1e300 --t-end 1e300", EXIT_OK),
+    ("--tau 1e-290 --t-end 1", EXIT_USAGE),  # 1 + tau == 1: t never moves
+    ("--adaptive --tau-min 1e-320 --tau-max 1e-300 --t-end 1", EXIT_USAGE),
 ])
 def test_extreme_step_sizes_exit_cleanly(flags, code, capsys):
-    # A step count that overflows is a usage error, not an exception out of
-    # main.  Step sizes that really take t_end/tau steps are left out: with
-    # --adaptive --tau-min 1e-320 --tau-max 1e-300 --t-end 1 a run would
-    # take ~1e300 steps, so it never ends.
+    # A step that cannot move t at t_end, so that the run would stall or
+    # need more than ~2**52 steps, is a usage error at the first step, not an
+    # exception out of main or a run that never ends.
     assert main(["run", "--grid-m", "8", *flags.split()]) == code
     err = capsys.readouterr().err
     if code == EXIT_USAGE:
-        assert err.startswith("usage error: t_end=") and "tau=" in err
-        assert err.count("\n") == 1
+        assert re.fullmatch(r"usage error: t_end=\S+ is too many steps of "
+                            r"tau(_max)?=\S+ to count\n", err)
 
 
 @pytest.mark.parametrize("kappa", ["1e23", "1e160"])

@@ -171,13 +171,15 @@ class TestRun:
         assert taus[-2:] == pytest.approx([0.175, 0.175], rel=1e-12)
         assert rows[-1].t == cfg.t_end
 
-    def test_adaptive_unreachable_end_is_rejected(self):
+    def test_adaptive_horizon_below_tau_min_is_one_step(self):
+        # No step can be tau_min = 0.1 when t_end = 0.05: the run takes one
+        # step of t_end.
         grid = Grid(16)
         stepping = AdaptiveStepping(tau_min=0.1, tau_max=0.3, alpha=1e5)
         cfg = RunConfig(grid=grid, scheme=dw_config(), stepping=stepping,
                         t_end=0.05)
-        with pytest.raises(ValueError, match=r"t=0\.0 .*tau_min=0\.1.*tau_max=0\.3"):
-            run(init_random(grid, -0.8, 0.8, 1), cfg)
+        _, rows = run(init_random(grid, -0.8, 0.8, 1), cfg)
+        assert [(r.step, r.t, r.tau) for r in rows[1:]] == [(1, 0.05, 0.05)]
 
     @pytest.mark.parametrize("entry", [
         "run-checked", "run-unchecked", "converge", "reference_solution",
@@ -439,11 +441,12 @@ class TestOutputFiles:
 
 
 class TestEnergyGuard:
-    """A run without check_invariants still holds every step to modified-energy
-    decay and s <= E(u0), with a slack of ENERGY_TOL * max(1, |E(u0)|)."""
+    """A run without check_invariants still holds every step to MBP, and to
+    modified-energy decay and s <= E(u0) with a slack of ENERGY_TOL *
+    max(1, |E(u0)|)."""
 
     @staticmethod
-    def _run(monkeypatch, plant, u0=1.0, length=1.0, checked=False):
+    def _run(monkeypatch, plant, u0=1.0, length=1.0, checked=False, out_dir=None):
         original = harness.step
 
         def planted(*args):
@@ -454,7 +457,7 @@ class TestEnergyGuard:
         monkeypatch.setattr(harness, "step", planted)
         cfg = RunConfig(grid=Grid(16, length), scheme=dw_config("ei2"),
                         stepping=UniformStepping(0.1), t_end=0.6,
-                        check_invariants=checked)
+                        out_dir=out_dir, check_invariants=checked)
         return run(np.full((16, 16), u0), cfg)
 
     def test_energy_rise_fails_an_unchecked_run(self, monkeypatch):
@@ -474,13 +477,19 @@ class TestEnergyGuard:
                            r"variable s=1\.2.* exceeds E\(u0\)=0\.0$"):
             self._run(monkeypatch, creep)
 
-    def test_unchecked_run_does_not_check_mbp(self, monkeypatch):
+    def test_mbp_break_fails_an_unchecked_run(self, monkeypatch, tmp_path):
         def shift(state):
             if state.step == 3:
                 state.u = state.u + 2.0
 
-        _, rows = self._run(monkeypatch, shift)
-        assert rows[3].sup_norm == 3.0 and rows[-1].step == 6
+        with pytest.raises(InvariantViolation, match=r"^step 3 from t=0\.2 with "
+                           r"tau=0\.1: MBP violated: sup norm 3\.0 > beta 1\.0$"):
+            self._run(monkeypatch, shift, out_dir=str(tmp_path))
+        record = json.loads((tmp_path / "failure.json").read_text())
+        assert (record["step"], record["error"]) == (3, "InvariantViolation")
+        assert record["last_good_row"]["step"] == 2
+        lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
+        assert len(lines) == 1 + 4  # header, t=0 row, steps 1-3
 
     @pytest.mark.parametrize("checked", [False, True])
     def test_only_unchecked_slack_scales_with_initial_energy(self, monkeypatch,
