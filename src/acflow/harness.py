@@ -152,8 +152,9 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
     ``InvariantViolation`` included, naming the step, its start time and
     size) leaves failure.json and the last good field in the output
     directory, and is re-raised.  Snapshots without an output directory,
-    initial data outside [-beta, beta] and a run the policy refuses are a
-    ``ValueError``, raised before an earlier run's files are removed.
+    initial data outside [-beta, beta], a run the policy refuses and a
+    directory named like an earlier run's file are a ``ValueError``, raised
+    before diagnostics.csv is opened or an earlier run's files are removed.
     """
     grid, scfg, stepping, out_dir = cfg.grid, cfg.scheme, cfg.stepping, cfg.out_dir
     every = cfg.snapshot_every
@@ -162,20 +163,27 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
     state = initial_state(grid, scfg, u0)
     rows = [_make_row(grid, scfg, state, 0.0)]
     tol = ENERGY_TOL * (1.0 if cfg.check_invariants else max(1.0, abs(rows[0].energy)))
-    # The policy's first step is asked for and diagnostics.csv opened before an
-    # earlier run's files are removed, so a run refused by either leaves them.
+    # The policy's first step is asked for, the names to remove checked and
+    # diagnostics.csv opened before an earlier run's files are removed, so a
+    # run refused by any of them leaves them.
     tau = stepping.next_step(state.t, cfg.t_end, rows)
 
     csv = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        with os.scandir(out_dir) as entries:
+            stale = [entry for entry in entries if entry.name == "failure.json"
+                     or re.fullmatch(r"u_[0-9]+\.npy", entry.name)]
+        for entry in stale:
+            if entry.is_dir(follow_symlinks=False):
+                raise ValueError(f"{entry.path} is a directory, not an earlier "
+                                 "run's file to replace")
         # Line-buffered, so each row is in the file once it is made.
         csv = open(os.path.join(out_dir, "diagnostics.csv"), "w", buffering=1)
     try:
         if csv is not None:
-            for name in os.listdir(out_dir):
-                if name == "failure.json" or re.fullmatch(r"u_[0-9]+\.npy", name):
-                    os.remove(os.path.join(out_dir, name))
+            for entry in stale:
+                os.remove(entry.path)
             csv.write(DIAGNOSTICS_HEADER + "\n")
             write_diagnostics(csv, rows[0])
         if every:

@@ -51,6 +51,10 @@ class DoubleWell:
             outs *= w
         return _value(out)
 
+    def energy(self, grid: Grid, u: np.ndarray, fu=None) -> float:
+        """h^2 sum F(u); F is cheap, so f(u) is not used."""
+        return grid.integrate(self.F(u))
+
 
 class FloryHuggins:
     """Logarithmic Flory-Huggins free energy with critical mixing parameters.
@@ -141,6 +145,21 @@ class FloryHuggins:
             other *= 0.5 * self.theta_c
             es -= other
         return _value(ent)
+
+    def energy(self, grid: Grid, u: np.ndarray, fu=None) -> float:
+        """h^2 sum F(u) from f(u) = ``fu`` (evaluated here unless given), with
+        no field of F: one log1p pass and two inner products.  See
+        ``bulk_energy`` for the identity."""
+        if fu is None:
+            fu = self.f(u)
+        logs = 0.0
+        for (us,) in row_strips(u):
+            w = np.multiply(us, us)
+            np.negative(w, out=w)
+            np.log1p(w, out=w)
+            logs += float(np.sum(w))
+        return (0.5 * self.theta * grid.h * grid.h * logs
+                + 0.5 * self.theta_c * grid.inner(u, u) - grid.inner(u, fu))
 
 
 def _brentq(f, a: float, b: float, xtol: float) -> float:
@@ -270,9 +289,15 @@ def make_sigma(kind: str, a: float = 1.0):
 # -- energies -----------------------------------------------------------------
 
 
-def bulk_energy(grid: Grid, potential, v: np.ndarray) -> float:
-    """Integral of the free-energy density, <F(v), 1>."""
-    return grid.integrate(potential.F(v))
+def bulk_energy(grid: Grid, potential, v: np.ndarray, fv=None) -> float:
+    """E1(v) = <F(v), 1> = h^2 sum F(v), by the potential's ``energy`` rule.
+
+    The double well integrates the field F(v).  Flory-Huggins never forms F:
+    with f(u) = theta_c u - theta artanh(u), its density is
+    F(u) = (theta/2) log1p(-u^2) + (theta_c/2) u^2 - u f(u), so
+    E1(v) = h^2 [(theta/2) sum log1p(-v^2) + (theta_c/2) sum v^2 - sum v f(v)],
+    with ``fv`` = f(v) when the caller holds it, evaluated otherwise."""
+    return potential.energy(grid, v, fv)
 
 
 def interface_energy(grid: Grid, v: np.ndarray, eps: float,

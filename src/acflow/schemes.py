@@ -4,10 +4,11 @@ ei2 or stab1), and a fine-step reference-solution driver does ei2.
 All steps are pure functions (state in, state out).  The auxiliary scalar s
 tracks the bulk energy; the shaping ratio g = sigma(s) / sigma(E1(u)) feeds
 both the frozen linear operator and the nonlinear term.  Every state is
-complete when made: it carries E1(u), evaluated once, for the next step and
-the diagnostics row, and the spectrum of u.  ``initial_state`` transforms u0;
-every later spectrum is handed on by the step that made u from its kernel,
-so no step transforms u again.
+complete when made: it carries the reaction f(u), evaluated once, for the
+next step's freeze and s-update; E1(u), evaluated from that f(u) by
+``bulk_energy``, for the next step and the diagnostics row; and the spectrum
+of u.  ``initial_state`` transforms u0; every later spectrum is handed on by
+the step that made u from its kernel, so no step transforms u again.
 """
 
 from __future__ import annotations
@@ -48,14 +49,16 @@ class SchemeConfig:
 
 @dataclass
 class SolverState:
-    """A point of a trajectory.  ``e1`` and ``u_hat`` describe ``u``: E1(u)
-    and ``grid.fast_forward(u)``, from ``initial_state`` or carried from the
-    step that made u.  A caller who changes u makes a new state with
-    ``initial_state`` rather than editing this one."""
+    """A point of a trajectory.  ``e1``, ``u_hat`` and ``fu`` describe ``u``:
+    E1(u), ``grid.fast_forward(u)`` and ``potential.f(u)``, from
+    ``initial_state`` or carried from the step that made u.  A caller who
+    changes u makes a new state with ``initial_state`` rather than editing
+    this one."""
     u: np.ndarray
     s: float
     e1: float
     u_hat: np.ndarray = field(repr=False)
+    fu: np.ndarray = field(repr=False)
     t: float = 0.0
     step: int = 0
     g: float = 1.0  # shaping ratio used by the step that produced this state
@@ -68,24 +71,26 @@ def initial_state(grid: Grid, cfg: SchemeConfig, u0: np.ndarray) -> SolverState:
     beta, sup = cfg.potential.beta, grid.norm_inf(u0)
     if sup > beta + MBP_TOL:
         raise ValueError(f"initial data exceeds the bound beta={beta}: sup norm {sup}")
-    e1 = bulk_energy(grid, cfg.potential, u0)
-    return SolverState(u=u0, s=e1, e1=e1, u_hat=grid.fast_forward(u0))
+    fu = cfg.potential.f(u0)
+    e1 = bulk_energy(grid, cfg.potential, u0, fu)
+    return SolverState(u=u0, s=e1, e1=e1, u_hat=grid.fast_forward(u0), fu=fu)
 
 
 def _frozen_at(grid: Grid, cfg: SchemeConfig, u: np.ndarray, s: float,
-               e1: float | None = None):
+               fu: np.ndarray | None = None, e1: float | None = None):
     """Freeze a step at (u, s): the shaping ratio g, f(u), the operator
     kappa g I - eps^2 Lap_h and the spectrum of the nonlinear term
     N = g (f(u) + kappa u), which the advance overwrites; N itself is freed
-    on return.  The bulk energy e1 = E1(u) is evaluated here unless given."""
+    on return.  f(u) and then E1(u) from it are evaluated here unless given."""
+    if fu is None:
+        fu = cfg.potential.f(u)
     if e1 is None:
-        e1 = bulk_energy(grid, cfg.potential, u)
+        e1 = bulk_energy(grid, cfg.potential, u, fu)
     g = cfg.sigma.ratio(s, e1)
     c = cfg.kappa * g
     if not 0.0 < c < math.inf:
         raise NumericRangeError(f"stabilization coefficient kappa*g out of range: "
                                 f"kappa={cfg.kappa!r}, g={g!r}")
-    fu = cfg.potential.f(u)
     nonlin = np.multiply(cfg.kappa, u)  # g (f(u) + kappa u) in one buffer
     nonlin += fu
     nonlin *= g
@@ -114,7 +119,7 @@ def _first_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
     backward-Euler resolvent (stab1), (I + tau L) u^{n+1} = u^n + tau N.
     Returns ``(u, s, g, u_hat)`` at the new state."""
     u, s = state.u, state.s
-    g_n, fu, op, n_hat = _frozen_at(grid, cfg, u, s, state.e1)
+    g_n, fu, op, n_hat = _frozen_at(grid, cfg, u, s, state.fu, state.e1)
     u_new, u_hat_new = op.advance_spectral(tau, state.u_hat, n_hat, resolvent)
     return u_new, s - g_n * grid.inner(fu, u_new - u), g_n, u_hat_new
 
@@ -126,7 +131,8 @@ def _second_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
     The predictor is one ei1 step; the corrector freezes the operator and the
     nonlinear term at the predicted midpoint and adds a high-order
     stabilization term to the s-update.  Both stages advance u^n from its
-    spectrum; the predictor's own spectrum is dropped at once.
+    spectrum; the predictor's own spectrum is dropped at once.  The predictor
+    reuses the carried f(u^n); the midpoint evaluates f once and E1 from it.
     """
     u, s = state.u, state.s
     u_pred, s_pred = _first_order(grid, cfg, state, tau, resolvent=False)[:2]
@@ -148,7 +154,8 @@ def step(grid: Grid, cfg: SchemeConfig, state: SolverState,
     first-order step, ei2 corrects it at the midpoint.  tau must be finite and
     positive; a value out of range (a ``NumericRangeError``) is re-raised as a
     ``NumericFailure`` naming the step, its start time and tau.  The stage's
-    fields are released before the new state's bulk energy is evaluated."""
+    fields are released before the new state's f and, from it, its bulk
+    energy are evaluated."""
     positive("tau", tau)
     n = state.step + 1
     try:
@@ -158,11 +165,12 @@ def step(grid: Grid, cfg: SchemeConfig, state: SolverState,
             u_new, s_new, g, u_hat = _first_order(grid, cfg, state, tau,
                                                   resolvent=cfg.scheme == STAB1)
         _check_finite(s_new, f"{cfg.scheme} step")
-        e1 = bulk_energy(grid, cfg.potential, u_new)
+        fu = cfg.potential.f(u_new)
+        e1 = bulk_energy(grid, cfg.potential, u_new, fu)
     except NumericRangeError as exc:
         raise NumericFailure(str(exc), n, state.t, tau) from exc
-    return SolverState(u=u_new, s=s_new, e1=e1, u_hat=u_hat, t=state.t + tau,
-                       step=n, g=g)
+    return SolverState(u=u_new, s=s_new, e1=e1, u_hat=u_hat, fu=fu,
+                       t=state.t + tau, step=n, g=g)
 
 
 def reference_solution(grid: Grid, cfg: SchemeConfig, u0: np.ndarray,

@@ -77,30 +77,35 @@ def test_unusable_output_directory_is_usage_error(tmp_path, capsys):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flags, message", [
-    ("--t-end 1e300 --tau 1e-10", "too many steps of tau=1e-10 to count"),
-    ("--tau 1e-290 --t-end 1", "too many steps of tau=1e-290 to count"),
-    ("--adaptive --tau-min 1e-320 --tau-max 1e-300 --t-end 1",
+@pytest.mark.parametrize("flags, taken, message", [
+    ("--t-end 1e300 --tau 1e-10", None, "too many steps of tau=1e-10 to count"),
+    ("--tau 1e-290 --t-end 1", None, "too many steps of tau=1e-290 to count"),
+    ("--adaptive --tau-min 1e-320 --tau-max 1e-300 --t-end 1", None,
      "too many steps of tau_max=1e-300 to count"),
-    ("--t-end 0.02", "Is a directory"),
-], ids=["count-overflow", "uniform-stall", "adaptive-stall", "csv-unwritable"])
-def test_refused_run_leaves_the_output_directory_as_it_was(flags, message, tmp_path,
-                                                           capsys):
-    # The step policy refuses the run at its first step, or diagnostics.csv
-    # is a directory, before run() clears an earlier run's files.
+    ("--t-end 0.02", "diagnostics.csv", "Is a directory"),
+    ("--t-end 0.02", "u_3.npy", "u_3.npy is a directory"),
+], ids=["count-overflow", "uniform-stall", "adaptive-stall", "csv-unwritable",
+        "snapshot-name-taken"])
+def test_refused_run_leaves_the_output_directory_as_it_was(flags, taken, message,
+                                                           tmp_path, capsys):
+    # The step policy refuses the run at its first step, or a name run() would
+    # open or remove is a directory (``taken``), before run() truncates
+    # diagnostics.csv or clears an earlier run's failure.json and snapshots.
     out = tmp_path / "traj"
     out.mkdir()
-    earlier = ["failure.json", "u_3.npy"]
-    for name in earlier:
-        (out / name).write_text("earlier run")
-    if message == "Is a directory":
-        (out / "diagnostics.csv").mkdir()
-        earlier.append("diagnostics.csv")
+    files = {"failure.json": b"x\n", "u_3.npy": b"y\n", "u_5.npy": b"z\n",
+             "diagnostics.csv": b"keep\n"}
+    files.pop(taken, None)
+    for name, data in files.items():
+        (out / name).write_bytes(data)
+    if taken is not None:
+        (out / taken).mkdir()
     rc = main(["run", "--grid-m", "8", *flags.split(), "--out", str(out)])
     assert rc == EXIT_USAGE
     assert message in capsys.readouterr().err
-    assert sorted(os.listdir(out)) == sorted(earlier)
-    assert (out / "u_3.npy").read_text() == "earlier run"
+    left = [*files, taken] if taken is not None else [*files]
+    assert sorted(os.listdir(out)) == sorted(left)
+    assert {name: (out / name).read_bytes() for name in files} == files
 
 
 def test_adaptive_tail_lands_on_t_end(tmp_path):

@@ -1,9 +1,11 @@
-"""Work done per step: transforms, bulk-energy evaluations and stencils.
+"""Work done per step: transforms, reaction and bulk-energy evaluations and
+stencils.
 
 Each counted function is wrapped with monkeypatch, so the counts are exact.
-``initial_state`` evaluates E1(u0) and transforms u0, once each, and every
-step hands the bulk energy and the spectrum of the field it makes to the
-next step, so no field of the trajectory is transformed again: the ei2 step
+``initial_state`` evaluates f(u0), E1(u0) and transforms u0, once each, and
+every step hands f, the bulk energy and the spectrum of the field it makes
+to the next step, so no field of the trajectory is transformed again and no
+reaction evaluated again: the ei2 step
 advances u^n from one spectrum in both stages, and a diagnostics row sums
 the interface energy over the spectrum the state carries, with no stencil.
 A stage's freeze hands the advance the spectrum of the nonlinear term N, so
@@ -26,7 +28,10 @@ STEPS = 4
 TRANSFORMS_PER_STEP = {"ei1": 2, "ei2": 4, "stab1": 2}
 # The forward transform of u0, taken by initial_state.
 TRANSFORMS_AT_START = 1
-F_PER_STEP = {"ei1": 1, "ei2": 2, "stab1": 1}
+# Evaluations of f and of the bulk energy (the potential's ``energy`` rule)
+# per step, each also taken once by initial_state: ei2 adds the midpoint's.
+# Only the double well's rule forms the field F; Flory-Huggins sums E1 from f.
+EVALS_PER_STEP = {"ei1": 1, "ei2": 2, "stab1": 1}
 
 PROBLEMS = {
     "periodic-dw": ("periodic", DoubleWell),
@@ -44,6 +49,18 @@ def _counter(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _evaluation_counters(monkeypatch, potential):
+    return {name: _counter(monkeypatch, type(potential), name)
+            for name in ("energy", "f", "F")}
+
+
+def _assert_evaluations(calls, potential, scheme):
+    expected = EVALS_PER_STEP[scheme] * STEPS + 1
+    assert calls["energy"][0] == expected
+    assert calls["f"][0] == expected
+    assert calls["F"][0] == (expected if isinstance(potential, DoubleWell) else 0)
 
 
 # Peak bytes traced during one ei2 step at M=64, in fields of M*M floats,
@@ -83,24 +100,25 @@ def test_step_costs(monkeypatch, problem, scheme):
     grid, cfg, u0 = _setup(problem, scheme)
     forward = _counter(monkeypatch, Grid, "fast_forward")
     inverse = _counter(monkeypatch, Grid, "fast_inverse")
-    bulk = _counter(monkeypatch, type(cfg.potential), "F")
+    evals = _evaluation_counters(monkeypatch, cfg.potential)
     state = initial_state(grid, cfg, u0)
     for _ in range(STEPS):
         state = step(grid, cfg, state, 0.05)
     assert forward[0] + inverse[0] == (TRANSFORMS_PER_STEP[scheme] * STEPS
                                        + TRANSFORMS_AT_START)
-    assert bulk[0] == F_PER_STEP[scheme] * STEPS + 1
+    _assert_evaluations(evals, cfg.potential, scheme)
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)
 @pytest.mark.parametrize("scheme", ["ei1", "ei2", "stab1"])
 def test_run_costs(monkeypatch, problem, scheme):
-    # The diagnostics row reuses the state's E1(u) and spectrum: no F and no
-    # transform beyond those of test_step_costs, and no stencil.
+    # The diagnostics row reuses the state's E1(u) and spectrum: no f, no
+    # bulk energy and no transform beyond those of test_step_costs, and no
+    # stencil.
     grid, cfg, u0 = _setup(problem, scheme)
     forward = _counter(monkeypatch, Grid, "fast_forward")
     inverse = _counter(monkeypatch, Grid, "fast_inverse")
-    bulk = _counter(monkeypatch, type(cfg.potential), "F")
+    evals = _evaluation_counters(monkeypatch, cfg.potential)
     stencil = _counter(monkeypatch, verify, "gradient")
     _, rows = run(u0, RunConfig(grid=grid, scheme=cfg,
                                 stepping=UniformStepping(0.05),
@@ -108,7 +126,7 @@ def test_run_costs(monkeypatch, problem, scheme):
     assert len(rows) == STEPS + 1
     assert forward[0] + inverse[0] == (TRANSFORMS_PER_STEP[scheme] * STEPS
                                        + TRANSFORMS_AT_START)
-    assert bulk[0] == F_PER_STEP[scheme] * STEPS + 1
+    _assert_evaluations(evals, cfg.potential, scheme)
     assert stencil[0] == 0
 
 

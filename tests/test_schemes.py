@@ -286,8 +286,10 @@ class TestCachedBulkEnergy:
         state = initial_state(grid, cfg, u0)
         for _ in range(3):
             assert state.e1 == bulk_energy(grid, cfg.potential, state.u)
+            assert state.fu.tobytes() == cfg.potential.f(state.u).tobytes()
             state = step(grid, cfg, state, 0.05)
         assert state.e1 == bulk_energy(grid, cfg.potential, state.u)
+        assert state.fu.tobytes() == cfg.potential.f(state.u).tobytes()
 
 
 class TestCarriedSpectrum:
@@ -357,6 +359,7 @@ class TestCarriedSpectrum:
         grid, cfg, state = self.problem(m, boundary, potential, "ei2")
         assert state.u_hat.tobytes() == grid.fast_forward(state.u).tobytes()
         assert state.e1 == bulk_energy(grid, cfg.potential, state.u)
+        assert state.fu.tobytes() == cfg.potential.f(state.u).tobytes()
 
     def test_state_needs_its_energy_and_spectrum(self):
         with pytest.raises(TypeError):
@@ -428,18 +431,20 @@ class TestFailureModes:
         assert isinstance(exc.value.__cause__, NumericRangeError)
 
     def test_domain_error_raises_with_step(self):
-        # |u| = 1 is outside the Flory-Huggins domain; the step index must
+        # |u| = 1.5 is outside the Flory-Huggins domain; the step index must
         # still be attached, with the domain error kept as the cause.
-        # initial_state rejects such a u itself, so the state is built whole.
+        # initial_state rejects such a u itself, so the state is built whole,
+        # with zeros for the f(u) that has no value there.  The step meets
+        # the domain where it evaluates f: at the ei2 midpoint.
         grid = Grid(8, 1.0, "neumann")
         pot = FloryHuggins()
         cfg = SchemeConfig(eps=0.01, kappa=pot.lipschitz, potential=pot,
                            sigma=ExpSigma(1.0), scheme="ei2")
         u = np.zeros((8, 8))
-        u[0, 0] = 1.0
+        u[0, 0] = 1.5
         bad = SolverState(u=u, s=0.0, e1=0.0, u_hat=grid.fast_forward(u),
-                          t=0.4, step=4)
-        with pytest.raises(NumericFailure) as exc:
+                          fu=np.zeros((8, 8)), t=0.4, step=4)
+        with pytest.raises(NumericFailure, match=r"outside \(-1, 1\)") as exc:
             step(grid, cfg, bad, 0.1)
         assert_names_step(exc.value, 5, bad, 0.1)
         assert isinstance(exc.value.__cause__, NumericRangeError)
