@@ -59,9 +59,6 @@ class Grid:
 
     # Every reduction reads its fields once and allocates nothing.
 
-    def integrate(self, v: np.ndarray) -> float:
-        return self.h * self.h * float(np.sum(v))
-
     def inner(self, v: np.ndarray, w: np.ndarray) -> float:
         # einsum gives the same bits for the same inputs on every run; np.dot
         # (BLAS ddot) does not, as its bits change with the thread count.

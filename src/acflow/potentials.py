@@ -40,20 +40,10 @@ class DoubleWell:
             outs *= us
         return _value(out)
 
-    def F(self, u):
-        # w = 1 - u^2, then (0.25 w) w: the arithmetic of 0.25 * w * w.
-        u = np.asarray(u, dtype=float)
-        out = np.empty_like(u)
-        for us, outs in row_strips(u, out):
-            w = np.multiply(us, us, out=np.empty_like(us))
-            np.subtract(1.0, w, out=w)
-            np.multiply(0.25, w, out=outs)
-            outs *= w
-        return _value(out)
-
-    def energy(self, grid: Grid, u: np.ndarray, fu=None) -> float:
-        """h^2 sum F(u); F is cheap, so f(u) is not used."""
-        return grid.integrate(self.F(u))
+    def energy(self, grid: Grid, u: np.ndarray, fu: np.ndarray) -> float:
+        """h^2 sum F(u) from fu = f(u), with no field of F: two inner products.
+        See ``bulk_energy`` for the identity and its error near u = +-1."""
+        return 0.25 * (grid.length * grid.length - grid.inner(u, u) - grid.inner(u, fu))
 
 
 class FloryHuggins:
@@ -74,8 +64,9 @@ class FloryHuggins:
         self.theta = float(theta)
         self.theta_c = float(theta_c)
         self.beta = self._compute_beta()
-        # |f'| peaks at 0 or beta: f' = theta_c - theta / (1 - u^2) is monotone in u^2.
-        self.lipschitz = max(abs(self._fprime(0.0)), abs(self._fprime(self.beta)))
+        # f' = theta_c - theta / (1 - u^2) falls, is concave and integrates to
+        # f(beta) - f(0) = 0 on [0, beta], so f'(beta) <= -f'(0) < 0: |f'| peaks there.
+        self.lipschitz = abs(self._fprime(self.beta))
 
     def _compute_beta(self) -> float:
         lo, hi = 1e-12, 1.0 - 1e-12
@@ -124,34 +115,9 @@ class FloryHuggins:
             outs += self.theta_c * us
         return _value(out)
 
-    def F(self, u):
-        u = np.asarray(u, dtype=float)
-        # (1+u) log1p(u) + (1-u) log1p(-u), accumulated in the result and two
-        # strip buffers; the two terms swap under u -> -u, so F(-u) == F(u)
-        # exactly.
-        ent = np.empty_like(u)
-        for us, es in row_strips(u, ent):
-            self._check_domain(u, us)
-            np.log1p(us, out=es)
-            t = np.add(1.0, us, out=np.empty_like(us))
-            es *= t
-            other = np.negative(us, out=np.empty_like(us))
-            np.log1p(other, out=other)
-            np.subtract(1.0, us, out=t)
-            other *= t
-            es += other
-            es *= 0.5 * self.theta
-            np.multiply(us, us, out=other)  # u**2
-            other *= 0.5 * self.theta_c
-            es -= other
-        return _value(ent)
-
-    def energy(self, grid: Grid, u: np.ndarray, fu=None) -> float:
-        """h^2 sum F(u) from f(u) = ``fu`` (evaluated here unless given), with
-        no field of F: one log1p pass and two inner products.  See
-        ``bulk_energy`` for the identity."""
-        if fu is None:
-            fu = self.f(u)
+    def energy(self, grid: Grid, u: np.ndarray, fu: np.ndarray) -> float:
+        """h^2 sum F(u) from fu = f(u), with no field of F: one log1p pass and
+        two inner products.  See ``bulk_energy`` for the identity."""
         logs = 0.0
         for (us,) in row_strips(u):
             w = np.multiply(us, us)
@@ -290,14 +256,17 @@ def make_sigma(kind: str, a: float = 1.0):
 
 
 def bulk_energy(grid: Grid, potential, v: np.ndarray, fv=None) -> float:
-    """E1(v) = <F(v), 1> = h^2 sum F(v), by the potential's ``energy`` rule.
-
-    The double well integrates the field F(v).  Flory-Huggins never forms F:
-    with f(u) = theta_c u - theta artanh(u), its density is
-    F(u) = (theta/2) log1p(-u^2) + (theta_c/2) u^2 - u f(u), so
-    E1(v) = h^2 [(theta/2) sum log1p(-v^2) + (theta_c/2) sum v^2 - sum v f(v)],
-    with ``fv`` = f(v) when the caller holds it, evaluated otherwise."""
-    return potential.energy(grid, v, fv)
+    """E1(v) = <F(v), 1> = h^2 sum F(v), by the potential's ``energy`` rule
+    from ``fv`` = f(v), evaluated here unless given.  No rule forms the field
+    F (an oracle in ``acflow.verify``); each writes F with f:
+    - double well: 4F(u) = 1 - u^2 - u f(u), so
+      E1(v) = (L^2 - (v, v)_h - (v, f(v))_h) / 4.  Near v = +-1 the terms
+      cancel, leaving an absolute error of a few ulp of L^2/4; E1 enters only g
+      and the energy column, and MBP and energy decay hold for any g > 0.
+    - Flory-Huggins: F(u) = (theta/2) log1p(-u^2) + (theta_c/2) u^2 - u f(u),
+      so E1(v) = h^2 [(theta/2) sum log1p(-v^2) + (theta_c/2) sum v^2
+      - sum v f(v)]."""
+    return potential.energy(grid, v, potential.f(v) if fv is None else fv)
 
 
 def interface_energy(grid: Grid, v: np.ndarray, eps: float,

@@ -5,10 +5,11 @@ All steps are pure functions (state in, state out).  The auxiliary scalar s
 tracks the bulk energy; the shaping ratio g = sigma(s) / sigma(E1(u)) feeds
 both the frozen linear operator and the nonlinear term.  Every state is
 complete when made: it carries the reaction f(u), evaluated once, for the
-next step's freeze and s-update; E1(u), evaluated from that f(u) by
-``bulk_energy``, for the next step and the diagnostics row; and the spectrum
-of u.  ``initial_state`` transforms u0; every later spectrum is handed on by
-the step that made u from its kernel, so no step transforms u again.
+next step's freeze and s-update; E1(u), summed from that f(u) by
+``bulk_energy`` with no field of F, for the next step and the diagnostics
+row; and the spectrum of u.  ``initial_state`` transforms u0; every later
+spectrum is handed on by the step that made u from its kernel, so no step
+transforms u again.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ it samples and a random generator; ``verify_suite`` runs it over a fixed set
 of grids and potentials, and the unit tests run it on their own fixtures.
 The oracles the spectral path is checked against live here too: the
 five-point stencil and gradient, the dense Laplacian and the dense
-exponentials.  They use neither scipy.linalg nor the spectral path.
+exponentials, and the free-energy densities F, which no run forms.  They
+use neither scipy.linalg nor the spectral path.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import numpy as np
 
 from .errors import AcflowError, whole
 from .expkernel import StabilizedOperator, phi1
-from .grid import BOUNDARIES, PERIODIC, Grid
+from .grid import BOUNDARIES, PERIODIC, Grid, row_strips
 from .harness import RunConfig, init_random, run
-from .potentials import DoubleWell, ExpSigma, FloryHuggins, interface_energy
+from .potentials import DoubleWell, ExpSigma, FloryHuggins, _value, interface_energy
 from .schemes import SCHEMES, SchemeConfig
 from .timestep import UniformStepping
 
@@ -58,6 +59,37 @@ def gradient(grid: Grid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward differences; the Neumann ghost makes the last difference 0."""
     p = _ghosts(grid, v)
     return (p[2:, 1:-1] - v) / grid.h, (p[1:-1, 2:] - v) / grid.h
+
+
+def density(pot, u):
+    """Density F(u), f = -F', of a DoubleWell or FloryHuggins. Oracle only."""
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u)
+    for us, outs in row_strips(u, out):
+        if isinstance(pot, DoubleWell):
+            # w = 1 - u^2, then (0.25 w) w: the arithmetic of 0.25 * w * w.
+            w = np.multiply(us, us, out=np.empty_like(us))
+            np.subtract(1.0, w, out=w)
+            np.multiply(0.25, w, out=outs)
+            outs *= w
+            continue
+        # (1+u) log1p(u) + (1-u) log1p(-u), accumulated in the result and two
+        # strip buffers; the two terms swap under u -> -u, so F(-u) == F(u)
+        # exactly.
+        pot._check_domain(u, us)
+        np.log1p(us, out=outs)
+        t = np.add(1.0, us, out=np.empty_like(us))
+        outs *= t
+        other = np.negative(us, out=np.empty_like(us))
+        np.log1p(other, out=other)
+        np.subtract(1.0, us, out=t)
+        other *= t
+        outs += other
+        outs *= 0.5 * pot.theta
+        np.multiply(us, us, out=other)  # u**2
+        other *= 0.5 * pot.theta_c
+        outs -= other
+    return _value(out)
 
 
 def dense_laplacian(grid: Grid) -> np.ndarray:

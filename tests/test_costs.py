@@ -30,7 +30,8 @@ TRANSFORMS_PER_STEP = {"ei1": 2, "ei2": 4, "stab1": 2}
 TRANSFORMS_AT_START = 1
 # Evaluations of f and of the bulk energy (the potential's ``energy`` rule)
 # per step, each also taken once by initial_state: ei2 adds the midpoint's.
-# Only the double well's rule forms the field F; Flory-Huggins sums E1 from f.
+# Neither rule forms the field F: both sum E1 from f, and the density F is
+# only an oracle in acflow.verify.
 EVALS_PER_STEP = {"ei1": 1, "ei2": 2, "stab1": 1}
 
 PROBLEMS = {
@@ -53,14 +54,14 @@ def _counter(monkeypatch, owner, name):
 
 def _evaluation_counters(monkeypatch, potential):
     return {name: _counter(monkeypatch, type(potential), name)
-            for name in ("energy", "f", "F")}
+            for name in ("energy", "f")}
 
 
 def _assert_evaluations(calls, potential, scheme):
     expected = EVALS_PER_STEP[scheme] * STEPS + 1
     assert calls["energy"][0] == expected
     assert calls["f"][0] == expected
-    assert calls["F"][0] == (expected if isinstance(potential, DoubleWell) else 0)
+    assert not hasattr(potential, "F")  # so no run can evaluate it
 
 
 # Peak bytes traced during one ei2 step at M=64, in fields of M*M floats,
@@ -76,10 +77,10 @@ PEAK_FIELDS_PER_EI2_STEP = {"periodic-dw": 5.69, "neumann-fh": 5.08}
 # At M=512 the potentials and the spectral advance run in row strips of
 # 2**14 elements, so each temporary of their chains is 1/16 field, not one.
 # Measured with numpy 2.4: one ei2 step 5.003 fields (Neumann FH) and 5.007
-# (periodic DW), one Flory-Huggins F 1.190; the whole-field kernels measured
-# 6.00, 5.57 and 3.00.  This peak lies in the s-update (u_pred, f_mid,
-# u^{n+1}, its spectrum and u^{n+1} - u^n), so freeing N early does not
-# lower it.
+# (periodic DW), one Flory-Huggins F (the oracle ``verify.density``) 1.190;
+# the whole-field kernels measured 6.00, 5.57 and 3.00.  This peak lies in
+# the s-update (u_pred, f_mid, u^{n+1}, its spectrum and u^{n+1} - u^n), so
+# freeing N early does not lower it.
 STRIP_M = 512
 PEAK_FIELDS_PER_STRIP_EI2_STEP = {"periodic-dw": 5.02, "neumann-fh": 5.02}
 PEAK_FIELDS_PER_STRIP_F = 1.2
@@ -168,5 +169,5 @@ def test_ei2_step_peak_memory_in_strips(problem):
 
 def test_flory_huggins_F_peak_memory_in_strips():
     grid, cfg, u0 = _setup("neumann-fh", "ei2", STRIP_M)
-    fields = _peak_fields(STRIP_M, lambda: cfg.potential.F(u0))
+    fields = _peak_fields(STRIP_M, lambda: verify.density(cfg.potential, u0))
     assert fields <= PEAK_FIELDS_PER_STRIP_F, fields

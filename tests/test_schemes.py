@@ -1,4 +1,5 @@
 import ast
+import collections
 import pathlib
 import pickle
 from dataclasses import replace
@@ -39,21 +40,48 @@ def test_every_public_name_is_used_outside_the_tests():
     # A public name is used when the library or the benchmark loads it as a
     # name, or as an attribute of an acflow module (``harness.run``).  Other
     # attributes, strings and keywords do not count: the row field
-    # ``modified_energy`` is not a use of a function of that name.
+    # ``modified_energy`` is not a use of a function of that name.  A public
+    # method or attribute of a public class (its fields, its class
+    # attributes and what its methods assign to ``self``) is used when they
+    # load it as an attribute of an object other than ``self``, or of
+    # ``self`` within that class or a class it derives from.
     root = pathlib.Path(__file__).resolve().parents[1]
     src = sorted((root / "src" / "acflow").glob("*.py"))
     modules = {"acflow"} | {path.stem for path in src}
-    used = set()
+    used, loaded = set(), set()
+    on_self, set_on_self = collections.defaultdict(set), collections.defaultdict(set)
     for path in [*src, *(root / "benchmarks").glob("*.py")]:
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id in modules):
-                used.add(node.attr)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                owner = node.value.id if isinstance(node.value, ast.Name) else None
+                if owner in modules:  # ``grid`` is a module and a Grid
+                    used.add(node.attr)
+                if owner != "self":
+                    loaded.add(node.attr)
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"):
+                    store = isinstance(node.ctx, ast.Store)
+                    (set_on_self if store else on_self)[cls.name].add(node.attr)
     assert [name for name in acflow.__all__ if name not in used] == []
+    unused = []
+    for name in acflow.__all__:
+        cls = getattr(acflow, name)
+        if not isinstance(cls, type):
+            continue
+        ours = [k for k in cls.__mro__ if k.__module__.startswith("acflow")]
+        members = set().union(*(set(vars(k)) | set(getattr(k, "__annotations__", {}))
+                                | set_on_self[k.__name__] for k in ours))
+        unused += [f"{name}.{attr}" for attr in sorted(members)
+                   if not attr.startswith("_") and attr not in loaded
+                   and not any(attr in on_self[k.__name__] for k in ours)]
+    assert unused == []
 
 
 def dw_config(scheme="ei1", a=1.0, eps=0.01):
