@@ -1,8 +1,8 @@
 """Command-line interface: run trajectories, convergence studies, and the
 verification suites.
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 verification
-failure.
+Exit codes: 0 success, 1 usage error (a problem too large for the
+available memory included), 2 numeric failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -138,6 +138,7 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -154,6 +155,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"usage error: not enough memory for acflow {' '.join(argv)}: "
+              f"{str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
 
 

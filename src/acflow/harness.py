@@ -3,6 +3,7 @@ and temporal convergence studies."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -13,8 +14,8 @@ import numpy as np
 from .errors import NumericFailure, positive, whole
 from .grid import Grid
 from .potentials import interface_energy
-from .schemes import (MBP_TOL, SchemeConfig, SolverState, initial_state,
-                      reference_solution, step)
+from .schemes import (MBP_TOL, SchemeConfig, SolverState, _whole_steps,
+                      initial_state, reference_solution, step)
 from .timestep import steps_to
 
 # Energy slack of a run with check_invariants on; a run without it allows
@@ -168,7 +169,6 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
     # run refused by any of them leaves them.
     tau = stepping.next_step(state.t, cfg.t_end, rows)
 
-    csv = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with os.scandir(out_dir) as entries:
@@ -178,9 +178,9 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
             if entry.is_dir(follow_symlinks=False):
                 raise ValueError(f"{entry.path} is a directory, not an earlier "
                                  "run's file to replace")
-        # Line-buffered, so each row is in the file once it is made.
-        csv = open(os.path.join(out_dir, "diagnostics.csv"), "w", buffering=1)
-    try:
+    # Line-buffered, so each row is in the file once it is made.
+    with (contextlib.nullcontext() if out_dir is None else
+          open(os.path.join(out_dir, "diagnostics.csv"), "w", buffering=1)) as csv:
         if csv is not None:
             for entry in stale:
                 os.remove(entry.path)
@@ -204,9 +204,6 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
             if every and state.step % every == 0:
                 _write_snapshot(out_dir, state)
             tau = stepping.next_step(state.t, cfg.t_end, rows)
-    finally:
-        if csv is not None:
-            csv.close()
     return state, rows
 
 
@@ -226,10 +223,7 @@ def converge(grid: Grid, scfg: SchemeConfig, u0: np.ndarray, t_end: float,
     ref = reference_solution(grid, scfg, u0, t_end, tau_ref)
     entries = []
     for tau in sorted(n_steps, reverse=True):
-        state = initial_state(grid, scfg, u0)
-        for _ in range(n_steps[tau]):
-            state = step(grid, scfg, state, tau)
-        diff = state.u - ref.u
+        diff = _whole_steps(grid, scfg, u0, n_steps[tau], tau).u - ref.u
         entries.append({
             "tau": tau,
             "l2_error": grid.norm2(diff),

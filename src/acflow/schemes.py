@@ -1,15 +1,19 @@
 """One-step updates: ``step`` runs the scheme a ``SchemeConfig`` names (ei1,
-ei2 or stab1), and a fine-step reference-solution driver does ei2.
+ei2 or stab1) in one body, and ``reference_solution`` drives ei2 at a fine
+step through the whole-step loop it shares with ``harness.converge``.
 
-All steps are pure functions (state in, state out).  The auxiliary scalar s
-tracks the bulk energy; the shaping ratio g = sigma(s) / sigma(E1(u)) feeds
-both the frozen linear operator and the nonlinear term.  Every state is
+All steps are pure functions (state in, state out).  Every scheme takes one
+first-order stage frozen at (u^n, s^n); ei2 corrects it at the midpoint.
+The auxiliary scalar s tracks the bulk energy; the shaping ratio
+g = sigma(s) / sigma(E1(u)) feeds both the frozen linear operator and the
+nonlinear term.  Every state is
 complete when made: it carries the reaction f(u), evaluated once, for the
 next step's freeze and s-update; E1(u), summed from that f(u) by
 ``bulk_energy`` with no field of F, for the next step and the diagnostics
 row; and the spectrum of u.  ``initial_state`` transforms u0; every later
 spectrum is handed on by the step that made u from its kernel, so no step
-transforms u again.
+transforms u again.  ``harness.run`` steps under a step policy, which clips
+the last step to t_end; the whole-step loop takes steps of exactly tau.
 """
 
 from __future__ import annotations
@@ -113,58 +117,42 @@ def _check_finite(s: float, label: str):
         raise NumericRangeError(f"non-finite state after {label}")
 
 
-def _first_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
-                 tau: float, resolvent: bool):
-    """One step with everything frozen at (u^n, s^n), advanced from the
-    spectrum of u^n: the exponential (ei1) or, with ``resolvent``, the
-    backward-Euler resolvent (stab1), (I + tau L) u^{n+1} = u^n + tau N.
-    Returns ``(u, s, g, u_hat)`` at the new state."""
-    u, s = state.u, state.s
-    g_n, fu, op, n_hat = _frozen_at(grid, cfg, u, s, state.fu, state.e1)
-    u_new, u_hat_new = op.advance_spectral(tau, state.u_hat, n_hat, resolvent)
-    return u_new, s - g_n * grid.inner(fu, u_new - u), g_n, u_hat_new
-
-
-def _second_order(grid: Grid, cfg: SchemeConfig, state: SolverState,
-                  tau: float):
-    """Second-order prediction-correction step.
-
-    The predictor is one ei1 step; the corrector freezes the operator and the
-    nonlinear term at the predicted midpoint and adds a high-order
-    stabilization term to the s-update.  Both stages advance u^n from its
-    spectrum; the predictor's own spectrum is dropped at once.  The predictor
-    reuses the carried f(u^n); the midpoint evaluates f once and E1 from it.
-    """
-    u, s = state.u, state.s
-    u_pred, s_pred = _first_order(grid, cfg, state, tau, resolvent=False)[:2]
-    _check_finite(s_pred, "ei1 step")
-    g_m, f_mid, op, n_hat = _frozen_at(grid, cfg, 0.5 * (u + u_pred),
-                                       0.5 * (s + s_pred))
-    u_new, u_hat_new = op.advance_spectral(tau, state.u_hat, n_hat,
-                                           resolvent=False)
-    du = u_new - u
-    rise = np.subtract(u_new, u_pred, out=u_pred)
-    s_new = (s - g_m * grid.inner(f_mid, du)
-             + 0.5 * cfg.kappa * g_m * grid.inner(rise, du))
-    return u_new, s_new, g_m, u_hat_new
-
-
 def step(grid: Grid, cfg: SchemeConfig, state: SolverState,
          tau: float) -> SolverState:
-    """One step of the scheme ``cfg.scheme`` names: ei1 and stab1 take the
-    first-order step, ei2 corrects it at the midpoint.  tau must be finite and
-    positive; a value out of range (a ``NumericRangeError``) is re-raised as a
-    ``NumericFailure`` naming the step, its start time and tau.  The stage's
-    fields are released before the new state's f and, from it, its bulk
-    energy are evaluated."""
+    """One step of the scheme ``cfg.scheme`` names, in one body.
+
+    Every scheme first takes a first-order stage: freeze at (u^n, s^n),
+    advance the spectrum of u^n by the exponential (ei1) or the
+    backward-Euler resolvent (stab1), (I + tau L) u^{n+1} = u^n + tau N,
+    then update s.  For ei2 that stage is an ei1 predictor, whose spectrum
+    is freed before the corrector freezes at the predicted midpoint
+    (evaluating f once and E1 from it), advances u^n's spectrum again and
+    adds a high-order stabilization term to the s-update.  tau must be
+    finite and positive; a value out of range (a ``NumericRangeError``) is
+    re-raised as a ``NumericFailure`` naming the step, its start time and
+    tau.  The stages' fields are released before the new state's f and,
+    from it, its bulk energy are evaluated."""
     positive("tau", tau)
     n = state.step + 1
+    u, s = state.u, state.s
     try:
+        g, f, op, n_hat = _frozen_at(grid, cfg, u, s, state.fu, state.e1)
+        u_new, u_hat = op.advance_spectral(tau, state.u_hat, n_hat,
+                                           resolvent=cfg.scheme == STAB1)
+        s_new = s - g * grid.inner(f, u_new - u)
         if cfg.scheme == EI2:
-            u_new, s_new, g, u_hat = _second_order(grid, cfg, state, tau)
-        else:
-            u_new, s_new, g, u_hat = _first_order(grid, cfg, state, tau,
-                                                  resolvent=cfg.scheme == STAB1)
+            del n_hat, u_hat  # the predictor's spectrum
+            _check_finite(s_new, "ei1 step")
+            u_pred = u_new
+            g, f, op, n_hat = _frozen_at(grid, cfg, 0.5 * (u + u_pred),
+                                         0.5 * (s + s_new))
+            u_new, u_hat = op.advance_spectral(tau, state.u_hat, n_hat,
+                                               resolvent=False)
+            du = u_new - u
+            rise = np.subtract(u_new, u_pred, out=u_pred)
+            s_new = (s - g * grid.inner(f, du)
+                     + 0.5 * cfg.kappa * g * grid.inner(rise, du))
+            del u_pred, rise, du, f  # freed before f(u^{n+1})
         _check_finite(s_new, f"{cfg.scheme} step")
         fu = cfg.potential.f(u_new)
         e1 = bulk_energy(grid, cfg.potential, u_new, fu)
@@ -174,6 +162,18 @@ def step(grid: Grid, cfg: SchemeConfig, state: SolverState,
                        t=state.t + tau, step=n, g=g)
 
 
+def _whole_steps(grid: Grid, cfg: SchemeConfig, u0: np.ndarray, n_steps: int,
+                 tau: float) -> SolverState:
+    """n_steps steps of exactly tau from ``initial_state(grid, cfg, u0)``.
+    Unlike a step policy in ``harness.run``, it never clips the last step:
+    ``reference_solution`` and ``harness.converge`` compare states after
+    whole steps, counted by ``steps_to`` before the first."""
+    state = initial_state(grid, cfg, u0)
+    for _ in range(n_steps):
+        state = step(grid, cfg, state, tau)
+    return state
+
+
 def reference_solution(grid: Grid, cfg: SchemeConfig, u0: np.ndarray,
                        t_end: float, tau_ref: float) -> SolverState:
     """Ground truth: ei2 at a fine uniform step, whatever ``cfg.scheme`` is.
@@ -181,9 +181,5 @@ def reference_solution(grid: Grid, cfg: SchemeConfig, u0: np.ndarray,
     Intended for convergence studies with tau_ref well below the sweep's
     smallest step (a factor of 32 or more).
     """
-    n_steps = steps_to(t_end, tau_ref, "tau_ref")
-    cfg = replace(cfg, scheme=EI2)
-    state = initial_state(grid, cfg, u0)
-    for _ in range(n_steps):
-        state = step(grid, cfg, state, tau_ref)
-    return state
+    return _whole_steps(grid, replace(cfg, scheme=EI2), u0,
+                        steps_to(t_end, tau_ref, "tau_ref"), tau_ref)

@@ -56,6 +56,50 @@ def test_numeric_failure_names_step_t_and_tau(capsys):
     assert capsys.readouterr().err.startswith("numeric failure: step ")
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--grid-m", "3000000"],
+    ["converge", "--grid-m", "3000000", "--taus", "0.5,0.25", "--tau-ref",
+     "0.0078125"]], ids=["run", "converge"])
+def test_allocation_failure_is_usage_error(monkeypatch, command, capsys):
+    # A grid too large for memory is refused as a usage error naming the
+    # request.  Grid is made to fail, so nothing large is ever allocated.
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 32.7 TiB")
+
+    monkeypatch.setattr("acflow.cli.Grid", no_memory)
+    assert main(command) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (f"usage error: not enough memory for acflow {' '.join(command)}"
+                   ": Unable to allocate 32.7 TiB\n")
+
+
+def test_large_domain_fails_at_step_3_with_its_record(tmp_path, capsys):
+    # Energies scale with |Omega| = L^2, so exp's default rate a = 1 drives
+    # g out of range on a side of 100; the run stops at step 3 and leaves
+    # the record of steps 0-2.
+    out = tmp_path / "traj"
+    rc = main(["run", "--grid-m", "64", "--grid-l", "100", "--eps", "1",
+               "--potential", "flory-huggins", "--init", "random", "--lo",
+               "-0.79", "--hi", "0.79", "--tau", "1", "--t-end", "5",
+               "--out", str(out)])
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: step 3 from t=2.0 with tau=1.0: "
+                          "shaping ratio exp(r)/exp(e1) out of range")
+    assert sorted(os.listdir(out)) == ["diagnostics.csv", "failure.json",
+                                       "u_2.npy"]
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == DIAGNOSTICS_HEADER and len(lines) == 1 + 3
+    record = json.loads((out / "failure.json").read_text())
+    assert (record["step"], record["t"], record["tau"]) == (3, 2.0, 1.0)
+    assert record["field"] == "u_2.npy"
+    row = record["last_good_row"]
+    assert [format(row[name], ".17g") for name in DIAGNOSTICS_HEADER.split(",")] \
+        == lines[-1].split(",")
+    u2 = np.load(out / "u_2.npy")
+    assert u2.shape == (64, 64) and np.max(np.abs(u2)) == row["sup_norm"]
+
+
 def test_usage_error_exit_code():
     assert main(["run", "--scheme", "rk4"]) == EXIT_USAGE
     assert main(["converge", "--taus", "", "--tau-ref", "0.001"]) == EXIT_USAGE

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from acflow import harness
+from acflow import harness, schemes
 from acflow.errors import NumericFailure
 from acflow.grid import Grid
 from acflow.harness import (
@@ -558,3 +558,55 @@ class TestConverge:
         with pytest.raises(ValueError):
             converge(grid, dw_config(), init_sine(grid, 0.1), 1.0,
                      taus=[0.3], tau_ref=1 / 1024)
+
+
+class TestWholeSteps:
+    """converge and reference_solution take whole steps of exactly tau, none
+    clipped to t_end, and refuse a bad step size before the first."""
+
+    @staticmethod
+    def _recorded_taus(monkeypatch):
+        taus = []
+        original = schemes.step
+
+        def recording(grid, cfg, state, tau):
+            taus.append(tau)
+            return original(grid, cfg, state, tau)
+
+        monkeypatch.setattr(schemes, "step", recording)
+        return taus
+
+    def test_reference_steps_are_whole(self, monkeypatch):
+        grid = Grid(8)
+        u0 = init_sine(grid, 0.1)
+        taus = self._recorded_taus(monkeypatch)
+        ref = reference_solution(grid, dw_config(), u0, t_end=1.0, tau_ref=0.01)
+        assert taus == [0.01] * 100
+        assert ref.step == 100
+        # A step policy clips its last step to t_end instead.
+        _, rows = run(u0, RunConfig(grid=grid, scheme=dw_config("ei2"),
+                                    stepping=UniformStepping(0.01), t_end=1.0))
+        assert len(rows) == 101 and rows[-1].tau == 0.009999999999999343
+
+    def test_converge_steps_are_whole(self, monkeypatch):
+        grid = Grid(8)
+        taus = self._recorded_taus(monkeypatch)
+        converge(grid, dw_config(), init_sine(grid, 0.1), 1.0,
+                 taus=[0.05, 0.1], tau_ref=0.001)
+        assert taus == [0.001] * 1000 + [0.1] * 10 + [0.05] * 20
+
+    @pytest.mark.parametrize("call", [
+        lambda grid, u0: converge(grid, dw_config(), u0, 1.0,
+                                  taus=[0.1, 0.3], tau_ref=0.001),
+        lambda grid, u0: converge(grid, dw_config(), u0, 1.0,
+                                  taus=[0.1, 0.05], tau_ref=0.01),
+        lambda grid, u0: reference_solution(grid, dw_config(), u0, 1.0, 0.3),
+    ], ids=["converge-nondividing-tau", "converge-coarse-reference",
+            "reference-nondividing-tau"])
+    def test_refusal_takes_no_step(self, monkeypatch, call):
+        grid = Grid(8)
+        taus = self._recorded_taus(monkeypatch)
+        with pytest.raises(ValueError,
+                           match="not a whole number of steps|too coarse"):
+            call(grid, init_sine(grid, 0.1))
+        assert taus == []
