@@ -5,7 +5,7 @@ second-order SAV schemes on uniform 2D grids."""
 from .errors import AcflowError, NumericFailure, NumericRangeError
 from .expkernel import StabilizedOperator, phi1
 from .grid import Grid
-from .harness import RunConfig, converge, init_random, init_sine, run
+from .harness import RunConfig, init_random, init_sine, run
 from .potentials import (
     ArctanSigma,
     ConstantSigma,
@@ -18,7 +18,8 @@ from .potentials import (
     make_sigma,
     total_energy,
 )
-from .schemes import SchemeConfig, SolverState, initial_state, reference_solution, step
+from .schemes import (SchemeConfig, SolverState, converge, initial_state,
+                      reference_solution, step)
 from .timestep import AdaptiveStepping, UniformStepping
 from .verify import verify_suite
 

@@ -13,9 +13,9 @@ import sys
 
 from .errors import AcflowError
 from .grid import BOUNDARIES, Grid
-from .harness import RunConfig, converge, init_random, init_sine, run
+from .harness import RunConfig, init_random, init_sine, run
 from .potentials import POTENTIALS, SIGMAS, make_potential, make_sigma
-from .schemes import SCHEMES, SchemeConfig
+from .schemes import SCHEMES, SchemeConfig, converge
 from .timestep import AdaptiveStepping, UniformStepping
 from .verify import PROFILES, verify_suite
 
@@ -23,6 +23,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_VERIFY = 3
+
+# run's step flags and their defaults.  Each step policy reads its own; a
+# flag given to a run whose policy does not read it is a usage error.
+_UNIFORM_FLAGS = {"tau": 0.01}
+_ADAPTIVE_FLAGS = {"tau_min": 0.0001, "tau_max": 0.1, "alpha": 1e5}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,11 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="integrate one trajectory")
     _add_setup(p_run)
-    p_run.add_argument("--tau", type=float, default=0.01)
+    p_run.add_argument("--tau", type=float, default=argparse.SUPPRESS)
     p_run.add_argument("--adaptive", action="store_true")
-    p_run.add_argument("--tau-min", type=float, default=0.0001)
-    p_run.add_argument("--tau-max", type=float, default=0.1)
-    p_run.add_argument("--alpha", type=float, default=1e5)
+    p_run.add_argument("--tau-min", type=float, default=argparse.SUPPRESS)
+    p_run.add_argument("--tau-max", type=float, default=argparse.SUPPRESS)
+    p_run.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
     p_run.add_argument("--out", type=str, default=None)
     p_run.add_argument("--snapshot-every", type=int, default=0)
     p_run.add_argument("--check-invariants", action="store_true",
@@ -104,11 +109,15 @@ def _build_setup(args):
 
 
 def _cmd_run(args) -> int:
+    policy, read, unread = ((AdaptiveStepping, _ADAPTIVE_FLAGS, _UNIFORM_FLAGS)
+                            if args.adaptive else
+                            (UniformStepping, _UNIFORM_FLAGS, _ADAPTIVE_FLAGS))
+    given = ["--" + name.replace("_", "-") for name in unread if hasattr(args, name)]
+    if given:
+        raise ValueError(f"{', '.join(given)} not read by "
+                         f"{'an adaptive' if args.adaptive else 'a uniform'} run")
     grid, scfg, u0 = _build_setup(args)
-    if args.adaptive:
-        stepping = AdaptiveStepping(args.tau_min, args.tau_max, args.alpha)
-    else:
-        stepping = UniformStepping(args.tau)
+    stepping = policy(**{name: getattr(args, name, v) for name, v in read.items()})
     cfg = RunConfig(grid=grid, scheme=scfg, stepping=stepping, t_end=args.t_end,
                     out_dir=args.out, snapshot_every=args.snapshot_every,
                     check_invariants=args.check_invariants)

@@ -1,5 +1,5 @@
-"""Trajectory driver: initial conditions, the run loop with diagnostics,
-and temporal convergence studies."""
+"""Initial conditions and the run: ``run`` steps one trajectory under a step
+policy, with a diagnostics row, invariant checks and files at every step."""
 
 from __future__ import annotations
 
@@ -14,9 +14,7 @@ import numpy as np
 from .errors import NumericFailure, positive, whole
 from .grid import Grid
 from .potentials import interface_energy
-from .schemes import (MBP_TOL, SchemeConfig, SolverState, _whole_steps,
-                      initial_state, reference_solution, step)
-from .timestep import steps_to
+from .schemes import MBP_TOL, SchemeConfig, SolverState, initial_state, step
 
 # Energy slack of a run with check_invariants on; a run without it allows
 # ENERGY_TOL * max(1, |E(u0)|), some ulps of E where |E| is large.
@@ -205,33 +203,3 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
                 _write_snapshot(out_dir, state)
             tau = stepping.next_step(state.t, cfg.t_end, rows)
     return state, rows
-
-
-def converge(grid: Grid, scfg: SchemeConfig, u0: np.ndarray, t_end: float,
-             taus: list[float], tau_ref: float) -> dict:
-    """L2 errors at t_end against a fine-step reference, plus the fitted
-    log-log slope of error versus step size.  The slope is NaN unless every
-    error is positive (from a fixed point such as u0 = 0 they are all 0)."""
-    t_end = positive("t_end", t_end)
-    n_steps = {tau: steps_to(t_end, tau, "tau") for tau in taus}
-    if len(n_steps) < 2:
-        raise ValueError(f"need at least two distinct step sizes, got {taus}")
-    if tau_ref > min(taus) / 32:
-        raise ValueError(
-            f"tau_ref={tau_ref} too coarse; need <= min(taus)/32 = {min(taus) / 32}")
-
-    ref = reference_solution(grid, scfg, u0, t_end, tau_ref)
-    entries = []
-    for tau in sorted(n_steps, reverse=True):
-        diff = _whole_steps(grid, scfg, u0, n_steps[tau], tau).u - ref.u
-        entries.append({
-            "tau": tau,
-            "l2_error": grid.norm2(diff),
-            "linf_error": grid.norm_inf(diff),
-        })
-    errors = [e["l2_error"] for e in entries]
-    slope = np.nan
-    if all(err > 0.0 for err in errors):
-        log_tau = np.log([e["tau"] for e in entries])
-        slope = float(np.polyfit(log_tau, np.log(errors), 1)[0])
-    return {"entries": entries, "slope": slope}

@@ -1,19 +1,21 @@
-"""One-step updates: ``step`` runs the scheme a ``SchemeConfig`` names (ei1,
-ei2 or stab1) in one body, and ``reference_solution`` drives ei2 at a fine
-step through the whole-step loop it shares with ``harness.converge``.
+"""Steps and the fixed-step study: ``step`` runs the scheme a
+``SchemeConfig`` names (ei1, ei2 or stab1) in one body, and ``converge``
+fits its temporal order against ``reference_solution`` (ei2 at a fine step).
 
 All steps are pure functions (state in, state out).  Every scheme takes one
 first-order stage frozen at (u^n, s^n); ei2 corrects it at the midpoint.
 The auxiliary scalar s tracks the bulk energy; the shaping ratio
 g = sigma(s) / sigma(E1(u)) feeds both the frozen linear operator and the
-nonlinear term.  Every state is
-complete when made: it carries the reaction f(u), evaluated once, for the
-next step's freeze and s-update; E1(u), summed from that f(u) by
-``bulk_energy`` with no field of F, for the next step and the diagnostics
-row; and the spectrum of u.  ``initial_state`` transforms u0; every later
-spectrum is handed on by the step that made u from its kernel, so no step
-transforms u again.  ``harness.run`` steps under a step policy, which clips
-the last step to t_end; the whole-step loop takes steps of exactly tau.
+nonlinear term.  Every state is complete when made: it carries the reaction
+f(u), evaluated once, for the next step's freeze and s-update; E1(u), summed
+from that f(u) by ``bulk_energy`` with no field of F, for the next step and
+the diagnostics row; and the spectrum of u.  ``initial_state`` transforms
+u0; every later spectrum is handed on by the step that made u from its
+kernel, so no step transforms u again.
+
+Two loops call ``step``: ``harness.run``'s policy loop builds a row per step,
+writes files, checks the invariants and clips its last step to land on
+t_end; the whole-step loop here builds no rows and takes steps of exactly tau.
 """
 
 from __future__ import annotations
@@ -164,10 +166,9 @@ def step(grid: Grid, cfg: SchemeConfig, state: SolverState,
 
 def _whole_steps(grid: Grid, cfg: SchemeConfig, u0: np.ndarray, n_steps: int,
                  tau: float) -> SolverState:
-    """n_steps steps of exactly tau from ``initial_state(grid, cfg, u0)``.
-    Unlike a step policy in ``harness.run``, it never clips the last step:
-    ``reference_solution`` and ``harness.converge`` compare states after
-    whole steps, counted by ``steps_to`` before the first."""
+    """n_steps steps of exactly tau from ``initial_state(grid, cfg, u0)``;
+    unlike ``harness.run``'s policy loop it never clips the last, so
+    ``converge`` compares states after whole steps, counted by ``steps_to``."""
     state = initial_state(grid, cfg, u0)
     for _ in range(n_steps):
         state = step(grid, cfg, state, tau)
@@ -177,9 +178,36 @@ def _whole_steps(grid: Grid, cfg: SchemeConfig, u0: np.ndarray, n_steps: int,
 def reference_solution(grid: Grid, cfg: SchemeConfig, u0: np.ndarray,
                        t_end: float, tau_ref: float) -> SolverState:
     """Ground truth: ei2 at a fine uniform step, whatever ``cfg.scheme`` is.
-
-    Intended for convergence studies with tau_ref well below the sweep's
-    smallest step (a factor of 32 or more).
-    """
+    ``converge`` refuses a tau_ref above its smallest step / 32."""
     return _whole_steps(grid, replace(cfg, scheme=EI2), u0,
                         steps_to(t_end, tau_ref, "tau_ref"), tau_ref)
+
+
+def converge(grid: Grid, scfg: SchemeConfig, u0: np.ndarray, t_end: float,
+             taus: list[float], tau_ref: float) -> dict:
+    """L2 errors at t_end against a fine-step reference, plus the fitted
+    log-log slope of error versus step size.  The slope is NaN unless every
+    error is positive (from a fixed point such as u0 = 0 they are all 0)."""
+    t_end = positive("t_end", t_end)
+    n_steps = {tau: steps_to(t_end, tau, "tau") for tau in taus}
+    if len(n_steps) < 2:
+        raise ValueError(f"need at least two distinct step sizes, got {taus}")
+    if tau_ref > min(taus) / 32:
+        raise ValueError(
+            f"tau_ref={tau_ref} too coarse; need <= min(taus)/32 = {min(taus) / 32}")
+
+    ref = reference_solution(grid, scfg, u0, t_end, tau_ref)
+    entries = []
+    for tau in sorted(n_steps, reverse=True):
+        diff = _whole_steps(grid, scfg, u0, n_steps[tau], tau).u - ref.u
+        entries.append({
+            "tau": tau,
+            "l2_error": grid.norm2(diff),
+            "linf_error": grid.norm_inf(diff),
+        })
+    errors = [e["l2_error"] for e in entries]
+    slope = np.nan
+    if all(err > 0.0 for err in errors):
+        log_tau = np.log([e["tau"] for e in entries])
+        slope = float(np.polyfit(log_tau, np.log(errors), 1)[0])
+    return {"entries": entries, "slope": slope}

@@ -341,6 +341,39 @@ def test_converge_rejects_run_flags():
         assert main(base + flag) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags, message", [
+    ("--adaptive --tau 0.025", "--tau not read by an adaptive run"),
+    ("--tau-min 0.025 --tau-max 0.025",
+     "--tau-min, --tau-max not read by a uniform run"),
+    ("--tau 0.01 --alpha 1e3", "--alpha not read by a uniform run"),
+])
+def test_run_refuses_step_flags_its_policy_does_not_read(tmp_path, flags, message,
+                                                          capsys):
+    # A step flag the chosen policy would ignore is a usage error naming it,
+    # raised before --out is made.
+    out = tmp_path / "traj"
+    args = ["run", "--grid-m", "8", "--t-end", "0.05", "--out", str(out)]
+    assert main(args + flags.split()) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given", [
+    "--tau 0.01", "--adaptive --tau-min 0.0001 --tau-max 0.1 --alpha 1e5"],
+    ids=["uniform", "adaptive"])
+def test_default_step_flags(tmp_path, given):
+    # A run without its policy's flags writes, byte for byte, the
+    # diagnostics.csv of the same run with the defaults given.
+    base = ["run", "--grid-m", "8", "--t-end", "0.05"]
+    default = [flag for flag in given.split() if flag == "--adaptive"]
+    csv = []
+    for name, flags in (("given", given.split()), ("default", default)):
+        assert main(base + flags + ["--out", str(tmp_path / name)]) == EXIT_OK
+        csv.append((tmp_path / name / "diagnostics.csv").read_bytes())
+    assert csv[0] == csv[1]
+    assert csv[0].count(b"\n") == (4 if default else 7)
+
+
 @pytest.mark.parametrize("command", ["run", "converge"])
 def test_potential_and_sigma_choices_come_from_the_library(command):
     sub = next(a for a in build_parser()._actions if a.dest == "command")

@@ -12,7 +12,6 @@ from acflow.harness import (
     DIAGNOSTICS_HEADER,
     InvariantViolation,
     RunConfig,
-    converge,
     init_random,
     init_sine,
     run,
@@ -25,7 +24,7 @@ from acflow.potentials import (
     bulk_energy,
     interface_energy,
 )
-from acflow.schemes import SchemeConfig, initial_state, reference_solution, step
+from acflow.schemes import SchemeConfig, converge, initial_state, reference_solution, step
 from acflow.timestep import AdaptiveStepping, UniformStepping
 
 
