@@ -24,10 +24,18 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_VERIFY = 3
 
-# run's step flags and their defaults.  Each step policy reads its own; a
-# flag given to a run whose policy does not read it is a usage error.
-_UNIFORM_FLAGS = {"tau": 0.01}
-_ADAPTIVE_FLAGS = {"tau_min": 0.0001, "tau_max": 0.1, "alpha": 1e5}
+# (option, choice, the flags that choice alone reads, with their defaults).
+# A flag given when the choice that reads it is not made is a usage error; a
+# list option (--profile) makes each choice it holds.
+_READ_BY = (
+    ("adaptive", False, {"tau": 0.01}),
+    ("adaptive", True, {"tau_min": 0.0001, "tau_max": 0.1, "alpha": 1e5}),
+    ("potential", "flory-huggins", {"theta": 0.8, "theta_c": 1.6}),
+    ("sigma", "exp", {"sigma_a": 1.0}),
+    ("init", "sine", {"amplitude": 0.1}),
+    ("init", "random", {"lo": -0.8, "hi": 0.8, "seed": 0}),
+    ("profile", "invariants", {"kappa": None}),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,10 +50,10 @@ def _add_setup(p: argparse.ArgumentParser):
     p.add_argument("--grid-l", type=float, default=1.0)
     p.add_argument("--boundary", choices=BOUNDARIES, default="periodic")
     p.add_argument("--potential", choices=POTENTIALS, default="double-well")
-    p.add_argument("--theta", type=float, default=0.8)
-    p.add_argument("--theta-c", type=float, default=1.6)
+    p.add_argument("--theta", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--theta-c", type=float, default=argparse.SUPPRESS)
     p.add_argument("--sigma", choices=SIGMAS, default="exp")
-    p.add_argument("--sigma-a", type=float, default=1.0,
+    p.add_argument("--sigma-a", type=float, default=argparse.SUPPRESS,
                    help="rate a of exp; keep a*|E(u0)| of order 1 or less")
     p.add_argument("--scheme", choices=SCHEMES, default="ei2")
     p.add_argument("--eps", type=float, default=0.01)
@@ -55,10 +63,9 @@ def _add_setup(p: argparse.ArgumentParser):
                         "and the run fails")
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--init", choices=["sine", "random"], default="sine")
-    p.add_argument("--amplitude", type=float, default=0.1)
-    p.add_argument("--lo", type=float, default=-0.8)
-    p.add_argument("--hi", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
+    for flag in ("--amplitude", "--lo", "--hi"):
+        p.add_argument(flag, type=float, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,11 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="integrate one trajectory")
     _add_setup(p_run)
-    p_run.add_argument("--tau", type=float, default=argparse.SUPPRESS)
     p_run.add_argument("--adaptive", action="store_true")
-    p_run.add_argument("--tau-min", type=float, default=argparse.SUPPRESS)
-    p_run.add_argument("--tau-max", type=float, default=argparse.SUPPRESS)
-    p_run.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
+    for flag in ("--tau", "--tau-min", "--tau-max", "--alpha"):
+        p_run.add_argument(flag, type=float, default=argparse.SUPPRESS)
     p_run.add_argument("--out", type=str, default=None)
     p_run.add_argument("--snapshot-every", type=int, default=0)
     p_run.add_argument("--check-invariants", action="store_true",
@@ -89,9 +94,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the verification suites")
     p_ver.add_argument("--profile", nargs="*", choices=PROFILES, default=PROFILES)
     p_ver.add_argument("--seed", type=int, default=20240817)
-    p_ver.add_argument("--kappa", type=float, default=None,
+    p_ver.add_argument("--kappa", type=float, default=argparse.SUPPRESS,
                        help="invariants-profile kappa; defaults to the Lipschitz bound")
     return parser
+
+
+def _choice(option: str, chosen: tuple) -> str:
+    if option == "adaptive":
+        return "an adaptive run" if chosen[0] else "a uniform run"
+    return f"--{option}" + "".join(f" {c}" for c in chosen)
+
+
+def _read_flags(args) -> None:
+    """Refuse the flags given that no choice made reads, naming them, and
+    give every flag not given its default."""
+    problems = []
+    for option, choice, flags in _READ_BY:
+        made = getattr(args, option, choice)  # a command without the option reads all
+        chosen = tuple(made) if isinstance(made, (list, tuple)) else (made,)
+        given = ["--" + name.replace("_", "-") for name in flags if hasattr(args, name)]
+        if given and choice not in chosen:
+            problems.append(f"{', '.join(given)} not read by {_choice(option, chosen)}")
+        for name, default in flags.items():
+            vars(args).setdefault(name, default)
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 def _build_setup(args):
@@ -109,15 +136,9 @@ def _build_setup(args):
 
 
 def _cmd_run(args) -> int:
-    policy, read, unread = ((AdaptiveStepping, _ADAPTIVE_FLAGS, _UNIFORM_FLAGS)
-                            if args.adaptive else
-                            (UniformStepping, _UNIFORM_FLAGS, _ADAPTIVE_FLAGS))
-    given = ["--" + name.replace("_", "-") for name in unread if hasattr(args, name)]
-    if given:
-        raise ValueError(f"{', '.join(given)} not read by "
-                         f"{'an adaptive' if args.adaptive else 'a uniform'} run")
     grid, scfg, u0 = _build_setup(args)
-    stepping = policy(**{name: getattr(args, name, v) for name, v in read.items()})
+    stepping = (AdaptiveStepping(args.tau_min, args.tau_max, args.alpha)
+                if args.adaptive else UniformStepping(args.tau))
     cfg = RunConfig(grid=grid, scheme=scfg, stepping=stepping, t_end=args.t_end,
                     out_dir=args.out, snapshot_every=args.snapshot_every,
                     check_invariants=args.check_invariants)
@@ -154,6 +175,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _read_flags(args)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "converge":

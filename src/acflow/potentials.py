@@ -1,4 +1,4 @@
-"""Nonlinear reactions, free-energy densities, shaping functions, and energies.
+"""Nonlinear reactions, shaping functions, and energies.
 
 Conventions: the reaction is f = -F'.  Each potential carries its pointwise
 bound ``beta`` (the invariant region is [-beta, beta]) and the Lipschitz

@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import AcflowError, whole
 from .expkernel import StabilizedOperator, phi1
-from .grid import BOUNDARIES, PERIODIC, Grid, row_strips
+from .grid import BOUNDARIES, PERIODIC, Grid
 from .harness import RunConfig, init_random, run
-from .potentials import DoubleWell, ExpSigma, FloryHuggins, _value, interface_energy
+from .potentials import DoubleWell, ExpSigma, FloryHuggins, interface_energy
 from .schemes import SCHEMES, SchemeConfig
 from .timestep import UniformStepping
 
@@ -62,34 +62,23 @@ def gradient(grid: Grid, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def density(pot, u):
-    """Density F(u), f = -F', of a DoubleWell or FloryHuggins. Oracle only."""
+    """Density F(u), f = -F', of a DoubleWell or FloryHuggins: a whole-field
+    oracle, which no run forms.  A scalar u gives a NumPy scalar."""
+    if isinstance(pot, DoubleWell):
+        w = 1.0 - np.asarray(u) ** 2
+        return 0.25 * w * w
+    # (1+u) log1p(u) + (1-u) log1p(-u): the two terms swap under u -> -u, so
+    # F(-u) == F(u) exactly.
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    for us, outs in row_strips(u, out):
-        if isinstance(pot, DoubleWell):
-            # w = 1 - u^2, then (0.25 w) w: the arithmetic of 0.25 * w * w.
-            w = np.multiply(us, us, out=np.empty_like(us))
-            np.subtract(1.0, w, out=w)
-            np.multiply(0.25, w, out=outs)
-            outs *= w
-            continue
-        # (1+u) log1p(u) + (1-u) log1p(-u), accumulated in the result and two
-        # strip buffers; the two terms swap under u -> -u, so F(-u) == F(u)
-        # exactly.
-        pot._check_domain(u, us)
-        np.log1p(us, out=outs)
-        t = np.add(1.0, us, out=np.empty_like(us))
-        outs *= t
-        other = np.negative(us, out=np.empty_like(us))
-        np.log1p(other, out=other)
-        np.subtract(1.0, us, out=t)
-        other *= t
-        outs += other
-        outs *= 0.5 * pot.theta
-        np.multiply(us, us, out=other)  # u**2
-        other *= 0.5 * pot.theta_c
-        outs -= other
-    return _value(out)
+    pot._check_domain(u, u)
+    ent = np.log1p(u)
+    ent *= 1.0 + u
+    other = np.log1p(-u)
+    other *= 1.0 - u
+    ent += other
+    ent *= 0.5 * pot.theta
+    ent -= 0.5 * pot.theta_c * u**2
+    return ent
 
 
 def dense_laplacian(grid: Grid) -> np.ndarray:

@@ -224,6 +224,14 @@ def test_extreme_setup_values_exit_cleanly(flag, value):
     assert main(args) in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC)
 
 
+
+@pytest.mark.parametrize("value", ["1e-320", "1e-300", "1e-160", "1e160", "1e300"])
+def test_extreme_amplitudes_exit_cleanly(value):
+    # --amplitude is read by the sine initial condition only.
+    args = ["run", "--grid-m", "8", "--potential", "flory-huggins", "--init",
+            "sine", "--t-end", "0.01", "--tau", "0.01", "--amplitude", value]
+    assert main(args) in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC)
+
 @pytest.mark.parametrize("flags, code", [
     ("--t-end 1e300 --tau 1e-10", EXIT_USAGE),  # +inf steps
     ("--tau 1e-320 --t-end 1", EXIT_USAGE),  # +inf steps
@@ -380,3 +388,80 @@ def test_potential_and_sigma_choices_come_from_the_library(command):
     choices = {a.dest: a.choices for a in sub.choices[command]._actions}
     assert choices["potential"] == POTENTIALS == ("double-well", "flory-huggins")
     assert choices["sigma"] == SIGMAS == ("const", "exp", "arctan", "tanh")
+
+
+TINY = {"run": ["run", "--grid-m", "8", "--t-end", "0.02"],
+        "converge": ["converge", "--grid-m", "8", "--t-end", "0.5", "--taus",
+                     "0.25,0.125", "--tau-ref", "0.00390625"]}
+
+
+@pytest.mark.parametrize("reads, refuses, flags, message", [
+    ("--potential flory-huggins", "--potential double-well",
+     "--theta 0.3 --theta-c 0.5", "--theta, --theta-c not read by --potential double-well"),
+    ("--potential flory-huggins", "", "--theta-c 5",
+     "--theta-c not read by --potential double-well"),
+    ("--sigma exp", "--sigma const", "--sigma-a 7", "--sigma-a not read by --sigma const"),
+    ("--sigma exp", "--sigma arctan", "--sigma-a 7", "--sigma-a not read by --sigma arctan"),
+    ("", "--sigma tanh", "--sigma-a 100", "--sigma-a not read by --sigma tanh"),
+    ("--init sine", "--init random", "--amplitude 0.2",
+     "--amplitude not read by --init random"),
+    ("--init random", "", "--lo -0.1 --hi 0.1 --seed 7",
+     "--lo, --hi, --seed not read by --init sine"),
+], ids=["theta-double-well", "theta-c-default", "sigma-a-const", "sigma-a-arctan",
+        "sigma-a-tanh", "amplitude-random", "bounds-sine"])
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_setup_flags_are_read_by_their_choice_only(command, reads, refuses, flags,
+                                                    message, tmp_path, capsys):
+    # A set-up flag is read with the choice that reads it, and is a usage
+    # error naming it and the choice made otherwise, raised before --out is
+    # made.
+    out = ["--out", str(tmp_path / "traj")] if command == "run" else []
+    assert main(TINY[command] + reads.split() + flags.split()) == EXIT_OK
+    capsys.readouterr()
+    assert main(TINY[command] + refuses.split() + flags.split() + out) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "traj").exists()
+
+
+def test_unread_flags_are_named_together(capsys):
+    args = TINY["converge"] + "--sigma const --sigma-a 7 --init sine --seed 3".split()
+    assert main(args) == EXIT_USAGE
+    assert capsys.readouterr().err == ("usage error: --sigma-a not read by --sigma "
+                                       "const; --seed not read by --init sine\n")
+
+
+@pytest.mark.parametrize("profile, reads", [
+    ("invariants", True), ("lemmas invariants", True), ("lemmas", False),
+    ("lemmas oracles", False), ("", False)])
+def test_verify_reads_kappa_with_the_invariants_profile_only(monkeypatch, profile,
+                                                            reads, capsys):
+    calls = []
+    monkeypatch.setattr("acflow.cli.verify_suite", lambda profiles, seed, kappa:
+                        calls.append(kappa) or {"passed": True})
+    args = ["verify", "--profile", *profile.split()]
+    assert main(args) == EXIT_OK
+    assert main(args + ["--kappa", "0.5"]) == (EXIT_OK if reads else EXIT_USAGE)
+    assert calls == ([None, 0.5] if reads else [None])
+    if not reads:
+        made = f"--profile {profile}".rstrip()
+        assert capsys.readouterr().err == f"usage error: --kappa not read by {made}\n"
+
+
+@pytest.mark.parametrize("choices, defaults", [
+    ("", "--potential double-well --sigma exp --sigma-a 1 --init sine --amplitude 0.1"),
+    ("--potential flory-huggins --init random",
+     "--theta 0.8 --theta-c 1.6 --lo -0.8 --hi 0.8 --seed 0"),
+], ids=["double-well-sine", "flory-huggins-random"])
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_default_setup_flags(command, choices, defaults, tmp_path, capsys):
+    # A command without its choices' set-up flags prints, and writes, byte for
+    # byte what it does with their defaults given.
+    outputs = []
+    for name, flags in (("given", choices + " " + defaults), ("default", choices)):
+        out = ["--out", str(tmp_path / name)] if command == "run" else []
+        assert main(TINY[command] + flags.split() + out) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+        if command == "run":
+            outputs.append((tmp_path / name / "diagnostics.csv").read_bytes())
+    half = len(outputs) // 2
+    assert outputs[:half] == outputs[half:]

@@ -77,13 +77,11 @@ PEAK_FIELDS_PER_EI2_STEP = {"periodic-dw": 5.69, "neumann-fh": 5.08}
 # At M=512 the potentials and the spectral advance run in row strips of
 # 2**14 elements, so each temporary of their chains is 1/16 field, not one.
 # Measured with numpy 2.4: one ei2 step 5.003 fields (Neumann FH) and 5.007
-# (periodic DW), one Flory-Huggins F (the oracle ``verify.density``) 1.190;
-# the whole-field kernels measured 6.00, 5.57 and 3.00.  This peak lies in
-# the s-update (u_pred, f_mid, u^{n+1}, its spectrum and u^{n+1} - u^n), so
-# freeing N early does not lower it.
+# (periodic DW); the whole-field kernels measured 6.00 and 5.57.  This peak
+# lies in the s-update (u_pred, f_mid, u^{n+1}, its spectrum and
+# u^{n+1} - u^n), so freeing N early does not lower it.
 STRIP_M = 512
 PEAK_FIELDS_PER_STRIP_EI2_STEP = {"periodic-dw": 5.02, "neumann-fh": 5.02}
-PEAK_FIELDS_PER_STRIP_F = 1.2
 
 
 def _setup(problem, scheme, m=16):
@@ -165,9 +163,3 @@ def test_ei2_step_peak_memory(problem):
 def test_ei2_step_peak_memory_in_strips(problem):
     fields = _ei2_step_peak(problem, STRIP_M)
     assert fields <= PEAK_FIELDS_PER_STRIP_EI2_STEP[problem], fields
-
-
-def test_flory_huggins_F_peak_memory_in_strips():
-    grid, cfg, u0 = _setup("neumann-fh", "ei2", STRIP_M)
-    fields = _peak_fields(STRIP_M, lambda: verify.density(cfg.potential, u0))
-    assert fields <= PEAK_FIELDS_PER_STRIP_F, fields

@@ -84,6 +84,22 @@ def test_every_public_name_is_used_outside_the_tests():
     assert unused == []
 
 
+
+def test_no_module_imports_a_private_name_of_another():
+    # A ``_``-prefixed name is private to its module: no module of the
+    # package imports one from another.  Imports only: a private method
+    # called on an object is not counted.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "acflow"
+    private = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "acflow"):
+                private += [f"{path.name}: {node.module}.{alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 def dw_config(scheme="ei1", a=1.0, eps=0.01):
     pot = DoubleWell()
     return SchemeConfig(eps=eps, kappa=pot.lipschitz, potential=pot,

@@ -26,3 +26,8 @@ def test_undersized_kappa_reports_hypothesis_violation():
 def test_unknown_profile_rejected():
     with pytest.raises(ValueError):
         verify_suite(("spectra",))
+
+
+def test_unknown_profile_is_named():
+    with pytest.raises(ValueError, match=r"unknown verify profiles: \['bogus'\]"):
+        verify_suite(("bogus",))
