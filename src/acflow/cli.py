@@ -54,7 +54,7 @@ def _add_setup(p: argparse.ArgumentParser):
     p.add_argument("--theta-c", type=float, default=argparse.SUPPRESS)
     p.add_argument("--sigma", choices=SIGMAS, default="exp")
     p.add_argument("--sigma-a", type=float, default=argparse.SUPPRESS,
-                   help="rate a of exp; keep a*|E(u0)| of order 1 or less")
+                   help="rate a of exp; keep a*|E(u0)|/|Omega| of order 1 or less")
     p.add_argument("--scheme", choices=SCHEMES, default="ei2")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--kappa", type=float, default=None,

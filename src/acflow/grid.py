@@ -3,7 +3,8 @@
 A grid function is a plain ``(M, M)`` float array ``v`` with ``v[i, j]``
 living at the mesh point ``(x_i, y_j)``.  The first array axis is x.
 Periodic grids place nodes at ``x_i = (i+1) h``; homogeneous-Neumann grids
-are cell-centered, ``x_i = (i + 1/2) h``, and realize the boundary by
+are cell-centered, ``x_i = (i + 1/2) h``; ``Grid.nodes()`` gives these x_i,
+which both axes share.  Neumann grids realize the boundary by
 mirror reflection, which the type-II cosine transform diagonalizes.  The
 five-point Laplacian acts only through its eigenvalues in that basis; its
 stencil and dense matrix are oracles in ``acflow.verify``.
@@ -41,19 +42,10 @@ class Grid:
 
     # -- geometry ---------------------------------------------------------
 
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Node coordinates (x, y) at every mesh point."""
+    def nodes(self) -> np.ndarray:
+        """The node coordinates x_i of one axis; both axes share them."""
         offset = 1.0 if self.boundary == PERIODIC else 0.5
-        x = (np.arange(self.m, dtype=float) + offset) * self.h
-        return np.meshgrid(x, x, indexing="ij")
-
-    def check(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.m, self.m):
-            raise ValueError(f"grid function shape {v.shape} != {(self.m, self.m)}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid function contains non-finite entries")
-        return v
+        return (np.arange(self.m, dtype=float) + offset) * self.h
 
     # -- inner products -----------------------------------------------------
 

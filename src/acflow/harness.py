@@ -23,9 +23,8 @@ ENERGY_TOL = 1e-10
 
 def init_sine(grid: Grid, amplitude: float) -> np.ndarray:
     """amplitude * sin(2 pi x / L) * sin(2 pi y / L) at the mesh points."""
-    x, y = grid.meshgrid()
-    w = 2.0 * np.pi / grid.length
-    return amplitude * np.sin(w * x) * np.sin(w * y)
+    s = np.sin(2.0 * np.pi / grid.length * grid.nodes())  # one sine serves both axes
+    return (amplitude * s)[:, None] * s
 
 
 def init_random(grid: Grid, lo: float, hi: float, seed: int) -> np.ndarray:

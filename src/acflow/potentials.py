@@ -92,24 +92,24 @@ class FloryHuggins:
     def _fprime(self, u: float) -> float:
         return -self.theta / (1.0 - u * u) + self.theta_c
 
-    def _check_domain(self, u, piece):
-        """``NumericRangeError`` naming max |u| if a strip of u leaves (-1, 1).
-        One read per bound and no |u| copy; only the message reads all of u.
-        fmax and fmin skip NaN as |u| >= 1 does, so a NaN entry alone does
-        not raise; an empty u reduces to the initial values and passes."""
-        hi, lo = _max_min(piece)
+    def _check_domain(self, u):
+        """``NumericRangeError`` naming max |u| if u leaves (-1, 1), from one
+        read of its max and min and no |u| copy.  fmax and fmin skip NaN as
+        |u| >= 1 does, so a NaN entry alone does not raise; an empty u
+        reduces to the initial values and passes."""
+        hi = float(np.fmax.reduce(u, axis=None, initial=-np.inf))
+        lo = float(np.fmin.reduce(u, axis=None, initial=np.inf))
         if hi >= 1.0 or lo <= -1.0:
-            hi, lo = _max_min(u)
             raise NumericRangeError("Flory-Huggins evaluation outside (-1, 1): "
                                     f"max |u| = {max(hi, -lo)}")
 
     def f(self, u):
         u = np.asarray(u, dtype=float)
+        self._check_domain(u)  # before any artanh runs
         # theta_c u - theta artanh(u), accumulated in place; artanh keeps the
         # relative accuracy that (1/2) log((1 - u)/(1 + u)) loses near 0.
         out = np.empty_like(u)
         for us, outs in row_strips(u, out):
-            self._check_domain(u, us)
             np.arctanh(us, out=outs)
             outs *= -self.theta
             outs += self.theta_c * us
@@ -170,12 +170,6 @@ def _brentq(f, a: float, b: float, xtol: float) -> float:
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = float(f(xcur))
     raise RuntimeError(f"no root within {maxiter} iterations, last x = {xcur!r}")
-
-
-def _max_min(u):
-    """(max u, min u), skipping NaN."""
-    return (float(np.fmax.reduce(u, axis=None, initial=-np.inf)),
-            float(np.fmin.reduce(u, axis=None, initial=np.inf)))
 
 
 POTENTIALS = (DoubleWell.name, FloryHuggins.name)

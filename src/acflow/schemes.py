@@ -5,13 +5,15 @@ fits its temporal order against ``reference_solution`` (ei2 at a fine step).
 All steps are pure functions (state in, state out).  Every scheme takes one
 first-order stage frozen at (u^n, s^n); ei2 corrects it at the midpoint.
 The auxiliary scalar s tracks the bulk energy; the shaping ratio
-g = sigma(s) / sigma(E1(u)) feeds both the frozen linear operator and the
-nonlinear term.  Every state is complete when made: it carries the reaction
-f(u), evaluated once, for the next step's freeze and s-update; E1(u), summed
-from that f(u) by ``bulk_energy`` with no field of F, for the next step and
-the diagnostics row; and the spectrum of u.  ``initial_state`` transforms
-u0; every later spectrum is handed on by the step that made u from its
-kernel, so no step transforms u again.
+g = sigma(s/|Omega|) / sigma(E1(u)/|Omega|), of energies per unit area so
+that no rate of sigma depends on the domain size, feeds both the frozen
+linear operator and the nonlinear term.  Every state is complete when
+made: it carries the reaction f(u), evaluated once, for the next step's
+freeze and s-update; E1(u), summed from that f(u) by ``bulk_energy`` with
+no field of F, for the next step and the diagnostics row; and the
+spectrum of u.  ``initial_state`` transforms u0; every later spectrum is
+handed on by the step that made u from its kernel, so no step transforms
+u again.
 
 Two loops call ``step``: ``harness.run``'s policy loop builds a row per step,
 writes files, checks the invariants and clips its last step to land on
@@ -72,10 +74,16 @@ class SolverState:
 
 
 def initial_state(grid: Grid, cfg: SchemeConfig, u0: np.ndarray) -> SolverState:
-    """The state at t = 0; a ``ValueError`` unless |u0| <= beta + MBP_TOL.
-    ``step`` does not check beta: build a ``SolverState`` to start beyond it."""
-    u0 = grid.check(u0)
+    """The state at t = 0; a ``ValueError`` unless u0 is an (M, M) field with
+    finite |u0| <= beta + MBP_TOL.  The max and min that give the sup norm
+    are NaN or +-inf when an entry is, so one read checks both.  ``step``
+    does not check beta: build a ``SolverState`` to start beyond it."""
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (grid.m, grid.m):
+        raise ValueError(f"grid function shape {u0.shape} != {(grid.m, grid.m)}")
     beta, sup = cfg.potential.beta, grid.norm_inf(u0)
+    if not math.isfinite(sup):
+        raise ValueError("grid function contains non-finite entries")
     if sup > beta + MBP_TOL:
         raise ValueError(f"initial data exceeds the bound beta={beta}: sup norm {sup}")
     fu = cfg.potential.f(u0)
@@ -93,7 +101,8 @@ def _frozen_at(grid: Grid, cfg: SchemeConfig, u: np.ndarray, s: float,
         fu = cfg.potential.f(u)
     if e1 is None:
         e1 = bulk_energy(grid, cfg.potential, u, fu)
-    g = cfg.sigma.ratio(s, e1)
+    area = grid.length * grid.length  # |Omega|; at L = 1 the divisions are exact
+    g = cfg.sigma.ratio(s / area, e1 / area)
     c = cfg.kappa * g
     if not 0.0 < c < math.inf:
         raise NumericRangeError(f"stabilization coefficient kappa*g out of range: "

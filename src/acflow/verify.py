@@ -70,7 +70,7 @@ def density(pot, u):
     # (1+u) log1p(u) + (1-u) log1p(-u): the two terms swap under u -> -u, so
     # F(-u) == F(u) exactly.
     u = np.asarray(u, dtype=float)
-    pot._check_domain(u, u)
+    pot._check_domain(u)
     ent = np.log1p(u)
     ent *= 1.0 + u
     other = np.log1p(-u)

@@ -73,15 +73,26 @@ def test_allocation_failure_is_usage_error(monkeypatch, command, capsys):
                    ": Unable to allocate 32.7 TiB\n")
 
 
-def test_large_domain_fails_at_step_3_with_its_record(tmp_path, capsys):
-    # Energies scale with |Omega| = L^2, so exp's default rate a = 1 drives
-    # g out of range on a side of 100; the run stops at step 3 and leaves
-    # the record of steps 0-2.
+LARGE_DOMAIN = ["run", "--grid-m", "64", "--grid-l", "100", "--eps", "1",
+                "--potential", "flory-huggins", "--init", "random", "--lo",
+                "-0.79", "--hi", "0.79", "--tau", "1", "--t-end", "5"]
+
+
+def test_large_domain_runs_with_the_default_rate(tmp_path):
+    # sigma reads energy per unit area, so exp's default rate a = 1 does not
+    # grow with |Omega| = L^2; read per domain, it failed at step 3 here.
     out = tmp_path / "traj"
-    rc = main(["run", "--grid-m", "64", "--grid-l", "100", "--eps", "1",
-               "--potential", "flory-huggins", "--init", "random", "--lo",
-               "-0.79", "--hi", "0.79", "--tau", "1", "--t-end", "5",
-               "--out", str(out)])
+    assert main(LARGE_DOMAIN + ["--out", str(out)]) == EXIT_OK
+    assert os.listdir(out) == ["diagnostics.csv"]
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == DIAGNOSTICS_HEADER and len(lines) == 1 + 6
+
+
+def test_shaping_failure_leaves_its_record(tmp_path, capsys):
+    # A rate of 1.1e4 drives g out of range at step 3; the run stops there
+    # and leaves the record of steps 0-2.
+    out = tmp_path / "traj"
+    rc = main(LARGE_DOMAIN + ["--sigma-a", "1.1e4", "--out", str(out)])
     assert rc == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: step 3 from t=2.0 with tau=1.0: "

@@ -19,7 +19,7 @@ import pytest
 
 from acflow import verify
 from acflow.grid import Grid
-from acflow.harness import RunConfig, init_random, run
+from acflow.harness import RunConfig, init_random, init_sine, run
 from acflow.potentials import DoubleWell, ExpSigma, FloryHuggins
 from acflow.schemes import SchemeConfig, initial_state, step
 from acflow.timestep import UniformStepping
@@ -163,3 +163,17 @@ def test_ei2_step_peak_memory(problem):
 def test_ei2_step_peak_memory_in_strips(problem):
     fields = _ei2_step_peak(problem, STRIP_M)
     assert fields <= PEAK_FIELDS_PER_STRIP_EI2_STEP[problem], fields
+
+
+# init_sine forms one 1-D sine of the nodes and writes the outer product of
+# the scaled sine with it into its result.  Measured with numpy 2.4 at
+# M=512: 1.07 fields on either boundary, the result and numpy's broadcast
+# buffers; two coordinate fields and a sine of each measured 5.00.
+PEAK_FIELDS_INIT_SINE = 1.1
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "neumann"])
+def test_init_sine_peak_memory(boundary):
+    grid = Grid(STRIP_M, 1.0, boundary)
+    fields = _peak_fields(STRIP_M, lambda: init_sine(grid, 0.1))
+    assert fields <= PEAK_FIELDS_INIT_SINE, fields

@@ -22,13 +22,11 @@ def random_field(grid, seed=0):
                          ids=["periodic", "neumann"])
 def test_meshgrid_nodes(boundary, offsets):
     # Periodic nodes sit at (i+1)h, so the last is at L; Neumann nodes at
-    # the cell centres (i+1/2)h.  The first axis is x.
+    # the cell centres (i+1/2)h.  Both axes share them.
     grid = Grid(4, 1.3, boundary)
-    x, y = grid.meshgrid()
-    nodes = np.array(offsets) * (1.3 / 4)
-    assert np.array_equal(x, np.broadcast_to(nodes[:, None], (4, 4)))
-    assert np.array_equal(y, np.broadcast_to(nodes[None, :], (4, 4)))
-    assert (x[-1, 0] == 1.3) == (boundary == "periodic")
+    x = grid.nodes()
+    assert np.array_equal(x, np.array(offsets) * (1.3 / 4))
+    assert (x[-1] == 1.3) == (boundary == "periodic")
 
 
 class TestStencils:
@@ -50,7 +48,7 @@ class TestStencils:
         # cos(2 pi x / L) is an eigenvector with eigenvalue lambda_{1,0};
         # cross-check lambda against the dense matrix spectrum.
         grid = Grid(8, 1.0)
-        x, _ = grid.meshgrid()
+        x, _ = np.meshgrid(grid.nodes(), grid.nodes(), indexing="ij")
         v = np.cos(2 * np.pi * x / grid.length)
         lam = grid.multiplier_eigenvalues[1, 0]
         assert np.allclose(laplacian(grid, v), lam * v, rtol=1e-12, atol=1e-9)
@@ -248,16 +246,6 @@ class TestValidation:
     def test_accepts_python_and_numpy_integers(self, m):
         grid = Grid(m)
         assert type(grid.m) is int and grid.m == 8 and grid.h == 1.0 / 8
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            Grid(4).check(np.zeros((3, 4)))
-
-    def test_rejects_nan(self):
-        v = np.zeros((4, 4))
-        v[1, 2] = np.nan
-        with pytest.raises(ValueError):
-            Grid(4).check(v)
 
     def test_dense_laplacian_size_guard(self):
         with pytest.raises(ValueError):

@@ -46,6 +46,23 @@ class TestInitialConditions:
         integral = grid.h * grid.h * float(np.sum(init_sine(grid, 0.1)))
         assert integral == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("boundary", ["periodic", "neumann"])
+    @pytest.mark.parametrize("m", [2, 3, 8, 127, 128, 300, 512])
+    def test_sine_is_the_textbook_formula_bitwise(self, m, boundary):
+        # amplitude sin(w x) sin(w y) on full coordinate fields of the nodes
+        # x_i = (i+1)h (periodic) or (i+1/2)h (Neumann).
+        offset = 1.0 if boundary == "periodic" else 0.5
+        for length in [1.0, 1.3, 100.0]:
+            grid = Grid(m, length, boundary)
+            nodes = (np.arange(m) + offset) * grid.h
+            x, y = np.meshgrid(nodes, nodes, indexing="ij")
+            w = 2.0 * np.pi / length
+            for amplitude in [0.1, 0.1234, -0.7, 1e-300]:
+                u = init_sine(grid, amplitude)
+                expected = amplitude * np.sin(w * x) * np.sin(w * y)
+                assert u.dtype == np.float64 and u.flags.c_contiguous
+                assert u.tobytes() == expected.tobytes()
+
     def test_random_constant_when_degenerate(self):
         out = init_random(Grid(8), 0.3, 0.3, seed=1)
         assert np.all(out == 0.3)

@@ -27,8 +27,8 @@ SLOPE_RTOL = 0.025
 
 def test_circle_area_shrinks_at_the_curvature_rate():
     grid = Grid(128)
-    x, y = grid.meshgrid()
-    u0 = np.tanh((R0 - np.hypot(x - 0.5, y - 0.5)) / (np.sqrt(2.0) * EPS))
+    x = grid.nodes()
+    u0 = np.tanh((R0 - np.hypot(x[:, None] - 0.5, x - 0.5)) / (np.sqrt(2.0) * EPS))
     pot = DoubleWell()
     # g stays 1 to about four digits, so the dynamics are the plain flow's.
     cfg = SchemeConfig(eps=EPS, kappa=pot.lipschitz, potential=pot,

@@ -171,9 +171,9 @@ class TestFloryHuggins:
 
     @pytest.mark.parametrize("name", ["f", "F"])
     def test_domain_error_in_last_strip(self, name):
-        # Each strip is checked just before it is computed; the message still
-        # gives the whole field's max |u|, and no strip is computed out of
-        # the domain, which would warn.
+        # The whole field is checked before the first strip is computed; the
+        # message gives its max |u|, and no strip is computed out of the
+        # domain, which would warn.
         u = np.zeros((300, 300))
         u[-1, -1] = -1.5
         with pytest.raises(NumericRangeError, match=r"\(-1, 1\): max \|u\| = 1\.5$"):

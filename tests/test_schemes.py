@@ -2,6 +2,7 @@ import ast
 import collections
 import pathlib
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -408,6 +409,27 @@ class TestCarriedSpectrum:
     def test_state_needs_its_energy_and_spectrum(self):
         with pytest.raises(TypeError):
             SolverState(u=np.zeros((8, 8)), s=0.0)
+
+
+class TestInitialState:
+    """``initial_state`` checks u0's shape, then its finiteness, then
+    |u0| <= beta + MBP_TOL, each with its own ``ValueError``."""
+
+    def test_rejects_bad_shape(self):
+        # Checked first, whatever the entries hold.
+        with pytest.raises(ValueError,
+                           match=re.escape("grid function shape (3, 4) != (4, 4)")):
+            initial_state(Grid(4), dw_config(), np.full((3, 4), np.nan))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_rejects_non_finite_entries(self, bad):
+        # Checked before beta, which every other entry exceeds.
+        v = np.full((4, 4), 2.0)
+        v[1, 2] = bad
+        with pytest.raises(ValueError,
+                           match="^grid function contains non-finite entries$"):
+            initial_state(Grid(4), dw_config(), v)
 
 
 def assert_names_step(exc, n, state, tau):
