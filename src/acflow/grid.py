@@ -37,8 +37,7 @@ class Grid:
             raise ValueError(f"L={self.length!r}, M={self.m} give h={self.h!r}: h*h "
                              "and 8/(h*h) must be finite and positive")
         # Laplacian eigenvalues in the layout of ``fast_forward``'s spectra.
-        self.multiplier_eigenvalues = self._build_multiplier_eigenvalues()
-        self.energy_weights = self._build_energy_weights()
+        self.multiplier_eigenvalues, self._energy_weights = self._build_tables()
 
     # -- geometry ---------------------------------------------------------
 
@@ -66,29 +65,27 @@ class Grid:
 
     # -- eigenbasis and fast transforms (hot path) ---------------------------
 
-    def _build_multiplier_eigenvalues(self) -> np.ndarray:
+    def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues (rfft2: full axis 0, half axis 1) and the weights W
+        of ``grad_norm2_sq``, both from one 1D eigenvalue vector."""
         # 1D eigenvalues -4/h^2 sin^2(pi k / P), P = M (periodic) or 2M (DCT-II).
-        period = self.m if self.boundary == PERIODIC else 2 * self.m
+        periodic = self.boundary == PERIODIC
         k = np.arange(self.m, dtype=float)
-        lam = -(4.0 / self.h**2) * np.sin(np.pi * k / period) ** 2
-        if self.boundary == PERIODIC:
-            # rfft2 layout: full axis 0, half axis 1.
-            half = lam[: self.m // 2 + 1]
-            return lam[:, None] + half[None, :]
-        return lam[:, None] + lam[None, :]
-
-    def _build_energy_weights(self) -> np.ndarray:
-        """W with ||grad_h v||^2 = -(v, Lap_h v) = -h^2 sum(W x x) for x the
-        float view of ``fast_forward(v)``, by Parseval in the eigenbasis."""
-        lam = self.multiplier_eigenvalues
-        if self.boundary == NEUMANN:
-            return lam  # the orthonormal DCT-II: W is lambda itself, not a copy
+        lam = -(4.0 / self.h**2) * np.sin(np.pi * k / (self.m if periodic else 2 * self.m)) ** 2
+        table = lam[:, None] + lam[None, : self.m // 2 + 1 if periodic else self.m]
+        if not periodic:
+            return table, table  # the orthonormal DCT-II: W is lambda, not a copy
         # rfft2 is unnormalized, so its sum is M^2 too large, and it keeps one
         # column of each conjugate pair: every column but 0 and, for even M,
         # M/2 counts twice.  Each weight repeats for a coefficient's (re, im).
-        k = np.arange(lam.shape[1])
+        k = np.arange(table.shape[1])
         w = np.where((k == 0) | (2 * k == self.m), 1.0, 2.0) / self.m**2
-        return np.repeat(lam * w, 2, axis=1)
+        return table, np.repeat(table * w, 2, axis=1)
+
+    def grad_norm2_sq(self, v_hat: np.ndarray) -> float:
+        """||grad_h v||^2 = -h^2 sum(W x x), x the float view of v_hat, by Parseval."""
+        x = v_hat.view(float)
+        return -(self.h * self.h * float(np.einsum("ij,ij,ij->", self._energy_weights, x, x)))
 
     def fast_forward(self, v: np.ndarray) -> np.ndarray:
         """Forward transform in the layout of ``multiplier_eigenvalues``."""

@@ -265,11 +265,10 @@ def bulk_energy(grid: Grid, potential, v: np.ndarray, fv=None) -> float:
 
 def interface_energy(grid: Grid, v: np.ndarray, eps: float,
                      v_hat: np.ndarray | None = None) -> float:
-    """(eps^2/2) ||grad_h v||^2, summed with ``grid.energy_weights`` over the
-    float view of v_hat = ``grid.fast_forward(v)``, transformed unless given."""
-    x = (grid.fast_forward(v) if v_hat is None else v_hat).view(float)
-    return -0.5 * eps * eps * (grid.h * grid.h * float(
-        np.einsum("ij,ij,ij->", grid.energy_weights, x, x)))
+    """(eps^2/2) ||grad_h v||^2 from v_hat = ``grid.fast_forward(v)``,
+    transformed unless given."""
+    return 0.5 * eps * eps * grid.grad_norm2_sq(
+        grid.fast_forward(v) if v_hat is None else v_hat)
 
 
 def total_energy(grid: Grid, potential, v: np.ndarray, eps: float) -> float:

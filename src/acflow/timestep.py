@@ -12,8 +12,9 @@ from .errors import positive
 
 
 def _slack(t_end: float) -> float:
-    """How close to t_end a run, or a count of steps, counts as reaching it."""
-    return 1e-12 * max(1.0, t_end)
+    """How close to t_end a run, or a count of steps, counts as reaching it;
+    relative, so that no unit of time makes a horizon too short to step."""
+    return 1e-12 * t_end
 
 
 def steps_to(t_end: float, tau: float, label: str) -> int:
@@ -28,9 +29,9 @@ def steps_to(t_end: float, tau: float, label: str) -> int:
 
 @dataclass
 class UniformStepping:
-    """ceil((t_end - slack) / tau) steps of tau, the last clipped to t_end, so
-    rounding in t adds no sliver of a step.  A count at or below 0 takes no
-    step; a positive one is a ValueError if t_end + tau == t_end."""
+    """ceil((t_end - slack) / tau) steps of tau, at least one, the last
+    clipped to t_end, so rounding in t adds no sliver of a step.  A
+    ValueError if t_end + tau == t_end."""
 
     tau: float
 
@@ -38,10 +39,9 @@ class UniformStepping:
         positive("tau", self.tau)
 
     def next_step(self, t: float, t_end: float, rows) -> float | None:
-        n = (t_end - _slack(t_end)) / self.tau
-        if n > 0 and t_end + self.tau == t_end:
+        if t_end + self.tau == t_end:
             raise ValueError(f"t_end={t_end} is too many steps of tau={self.tau} to count")
-        if n <= 0 or len(rows) - 1 >= math.ceil(n):
+        if len(rows) - 1 >= max(1, math.ceil((t_end - _slack(t_end)) / self.tau)):
             return None
         return min(self.tau, t_end - t)
 

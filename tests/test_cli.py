@@ -246,7 +246,7 @@ def test_extreme_amplitudes_exit_cleanly(value):
 @pytest.mark.parametrize("flags, code", [
     ("--t-end 1e300 --tau 1e-10", EXIT_USAGE),  # +inf steps
     ("--tau 1e-320 --t-end 1", EXIT_USAGE),  # +inf steps
-    ("--tau 5e-324 --t-end 1e-300", EXIT_OK),  # -inf steps: t_end is within slack
+    ("--tau 5e-324 --t-end 1e-300", EXIT_USAGE),  # +inf steps
     ("--tau 1e300 --t-end 1", EXIT_OK),
     ("--adaptive --tau-min 1e-10 --tau-max 1e300 --t-end 1e300", EXIT_OK),
     ("--tau 1e-290 --t-end 1", EXIT_USAGE),  # 1 + tau == 1: t never moves
@@ -261,6 +261,23 @@ def test_extreme_step_sizes_exit_cleanly(flags, code, capsys):
     if code == EXIT_USAGE:
         assert re.fullmatch(r"usage error: t_end=\S+ is too many steps of "
                             r"tau(_max)?=\S+ to count\n", err)
+
+
+@pytest.mark.parametrize("flags, steps", [
+    ("--t-end 1e-13 --tau 1e-14", 10),
+    ("--t-end 1e-12 --tau 1e-13", 10),
+    ("--adaptive --tau-min 1e-14 --tau-max 1e-13 --t-end 5e-13", 8),
+    ("--t-end 2e-12 --tau 1e-12", 2),
+    ("--tau 1e300 --t-end 1e-300", 1),  # t_end / tau underflows to 0
+])
+def test_tiny_horizons_are_stepped_to_t_end(flags, steps, tmp_path):
+    # The slack is relative to t_end, so a horizon at or below 1e-12 is not
+    # already reached at t = 0.
+    assert main(["run", "--grid-m", "8", *flags.split(), "--out", str(tmp_path)]) == EXIT_OK
+    last = (tmp_path / "diagnostics.csv").read_text().splitlines()[-1].split(",")
+    t_end = float(flags.split("--t-end ")[1].split()[0])
+    assert int(last[0]) == steps
+    assert abs(float(last[1]) - t_end) <= 1e-12 * t_end
 
 
 @pytest.mark.parametrize("kappa", ["1e23", "1e160"])

@@ -108,7 +108,7 @@ def test_interface_energy_matches_gradient_form(m, boundary):
 def test_interface_energy_matches_gradient_form_at_512():
     grid = Grid(512, 1.3, "neumann")
     _check_interface_energy(grid, 2)
-    assert grid.energy_weights is grid.multiplier_eigenvalues  # no second array
+    assert grid._energy_weights is grid.multiplier_eigenvalues  # no second array
 
 
 class TestInnerProducts:

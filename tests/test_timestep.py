@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from acflow.timestep import AdaptiveStepping, UniformStepping
+from acflow.timestep import AdaptiveStepping, UniformStepping, steps_to
 
 
 class TestAdaptiveFormula:
@@ -88,7 +88,7 @@ def _refused_or_landed(stepping, t_end, energies=(0.0,)):
     except ValueError:
         assert taus == [], "refused after its first call"
         return None
-    assert abs(t - t_end) <= 1e-12 * max(1.0, t_end)
+    assert abs(t - t_end) <= 1e-12 * t_end
     return taus
 
 
@@ -112,7 +112,7 @@ def test_adaptive_policy_contract(run):
     assert (taus is None) == (t_end + stepping.tau_max == t_end)
     if taus is None:
         return
-    slack = 1e-12 * max(1.0, t_end)
+    slack = 1e-12 * t_end
     if t_end < stepping.tau_min:
         assert taus == [t_end]
     elif stepping.tau_max >= 2 * stepping.tau_min:
@@ -125,10 +125,14 @@ def test_adaptive_policy_contract(run):
 @st.composite
 def uniform_runs(draw):
     tau = draw(st.floats(1e-320, 1e300))
-    # At most ~100 steps, a horizon tau cannot move, or one within slack of 0.
-    t_end = draw(st.one_of(st.floats(0.01, 100.0).map(lambda r: r * tau),
-                           st.integers(54, 900).map(lambda k: tau * 2.0**k),
-                           st.floats(1e-300, 1e-12)))
+    # At most ~100 steps, a horizon tau cannot move, or at most ~100 steps to
+    # a horizon at or below 1e-12, which the slack, relative to t_end, leaves
+    # to be stepped.
+    tau, t_end = draw(st.one_of(
+        st.floats(0.01, 100.0).map(lambda r: (tau, r * tau)),
+        st.integers(54, 900).map(lambda k: (tau, tau * 2.0**k)),
+        st.tuples(st.floats(1e-300, 1e-12), st.floats(0.01, 100.0)).map(
+            lambda p: (p[0] / p[1], p[0]))))
     assume(0.0 < t_end < math.inf)
     return UniformStepping(tau), t_end
 
@@ -137,5 +141,27 @@ def uniform_runs(draw):
 @given(uniform_runs())
 def test_uniform_policy_contract(run):
     stepping, t_end = run
-    refused = _refused_or_landed(stepping, t_end) is None
-    assert refused == (t_end > 1e-12 and t_end + stepping.tau == t_end)
+    taus = _refused_or_landed(stepping, t_end)
+    assert (taus is None) == (t_end + stepping.tau == t_end)
+    assert taus is None or 1 <= len(taus) <= math.ceil(t_end / stepping.tau)
+
+
+@pytest.mark.parametrize("t_end, tau", [(1e-12, 3e-13), (5e-13, 3e-13)])
+def test_steps_to_refuses_a_count_that_is_not_whole(t_end, tau):
+    # 3 and 2 steps end at 9e-13 and 6e-13: short of t_end by far more than
+    # the slack, 1e-12 * t_end.
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        steps_to(t_end, tau, "tau")
+
+
+def test_long_adaptive_run_below_unit_horizon_lands():
+    # Tens of thousands of steps to t_end = 0.01, whose slack is 1e-14, with
+    # t summed as run() sums it.
+    stepping = AdaptiveStepping(tau_min=1e-7, tau_max=4e-7, alpha=1e6)
+    taus = _march(stepping, 0.01, energies=(0.0, -3e-10, -3.1e-10, 2e-11, -1e-9))
+    t = 0.0
+    for tau in taus:
+        t += tau
+    assert 10_000 < len(taus) < 100_000
+    assert all(stepping.tau_min / 2 <= tau <= stepping.tau_max for tau in taus)
+    assert abs(t - 0.01) <= 1e-12 * 0.01
