@@ -73,7 +73,7 @@ def _make_row(grid: Grid, cfg: SchemeConfig, state: SolverState,
               tau: float) -> DiagnosticsRow:
     # interface_energy over the carried spectrum plus the state's bulk energy
     # e1 (the energy) or s (the modified energy): no transform and no F.
-    interface = interface_energy(grid, state.u, cfg.eps, state.u_hat)
+    interface = interface_energy(grid, state.u_hat, cfg.eps)
     return DiagnosticsRow(
         step=state.step,
         t=state.t,
@@ -106,11 +106,10 @@ class InvariantViolation(NumericFailure):
     the violating diagnostics row and survives a pickle round trip."""
 
 
-def _check_invariants(prev: SolverState, rows: list[DiagnosticsRow], beta: float,
-                      tol: float):
-    """Check the row of the step from ``prev`` against beta + MBP_TOL, and
-    against rows[-2] and E(u0) with energy slack ``tol``; an
-    ``InvariantViolation`` names the first rule it breaks."""
+def _check_invariants(rows: list[DiagnosticsRow], beta: float, tol: float):
+    """Check the last row against beta + MBP_TOL, and against rows[-2] and
+    E(u0) with energy slack ``tol``; an ``InvariantViolation`` names the
+    first rule it breaks and the step's start time, rows[-2].t."""
     row, prev_modified, e0 = rows[-1], rows[-2].modified_energy, rows[0].energy
     if row.sup_norm > beta + MBP_TOL:
         message = f"MBP violated: sup norm {row.sup_norm} > beta {beta}"
@@ -120,7 +119,7 @@ def _check_invariants(prev: SolverState, rows: list[DiagnosticsRow], beta: float
         message = f"auxiliary variable s={row.s} exceeds E(u0)={e0}"
     else:
         return
-    exc = InvariantViolation(message, row.step, prev.t, row.tau)
+    exc = InvariantViolation(message, row.step, rows[-2].t, row.tau)
     exc.row = row
     raise exc
 
@@ -192,7 +191,7 @@ def run(u0: np.ndarray, cfg: RunConfig) -> tuple[SolverState, list[DiagnosticsRo
                 rows.append(row)
                 if csv is not None:
                     write_diagnostics(csv, row)
-                _check_invariants(state, rows, scfg.potential.beta, tol)
+                _check_invariants(rows, scfg.potential.beta, tol)
             except NumericFailure as exc:
                 if out_dir is not None:
                     _write_failure(out_dir, exc, state, rows[state.step])

@@ -263,13 +263,10 @@ def bulk_energy(grid: Grid, potential, v: np.ndarray, fv=None) -> float:
     return potential.energy(grid, v, potential.f(v) if fv is None else fv)
 
 
-def interface_energy(grid: Grid, v: np.ndarray, eps: float,
-                     v_hat: np.ndarray | None = None) -> float:
-    """(eps^2/2) ||grad_h v||^2 from v_hat = ``grid.fast_forward(v)``,
-    transformed unless given."""
-    return 0.5 * eps * eps * grid.grad_norm2_sq(
-        grid.fast_forward(v) if v_hat is None else v_hat)
+def interface_energy(grid: Grid, v_hat: np.ndarray, eps: float) -> float:
+    """(eps^2/2) ||grad_h v||^2 from the spectrum v_hat = ``grid.fast_forward(v)``."""
+    return 0.5 * eps * eps * grid.grad_norm2_sq(v_hat)
 
 
 def total_energy(grid: Grid, potential, v: np.ndarray, eps: float) -> float:
-    return interface_energy(grid, v, eps) + bulk_energy(grid, potential, v)
+    return interface_energy(grid, grid.fast_forward(v), eps) + bulk_energy(grid, potential, v)

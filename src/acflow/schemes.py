@@ -96,10 +96,9 @@ def _frozen_at(grid: Grid, cfg: SchemeConfig, u: np.ndarray, s: float,
     """Freeze a step at (u, s): the shaping ratio g, f(u), the operator
     kappa g I - eps^2 Lap_h and the spectrum of the nonlinear term
     N = g (f(u) + kappa u), which the advance overwrites; N itself is freed
-    on return.  f(u) and then E1(u) from it are evaluated here unless given."""
+    on return.  fu = f(u) and e1 = E1(u) come together, or both are evaluated."""
     if fu is None:
         fu = cfg.potential.f(u)
-    if e1 is None:
         e1 = bulk_energy(grid, cfg.potential, u, fu)
     area = grid.length * grid.length  # |Omega|; at L = 1 the divisions are exact
     g = cfg.sigma.ratio(s / area, e1 / area)
